@@ -1,7 +1,8 @@
 # Developer/CI entry points. `make check` is the gate: build, vet, the
 # full test suite under the race detector, a short fuzz pass over the
-# protocol decode paths, and a smoke run of the sharded ingest benchmarks
-# (100 iterations — checks they run, not their numbers).
+# protocol decode paths, a smoke run of the sharded ingest benchmarks
+# (100 iterations — checks they run, not their numbers), and a build and
+# short test of the epoch-round benchmark module.
 
 GO ?= go
 
@@ -9,9 +10,9 @@ GO ?= go
 # internal/*/testdata/fuzz seeds each run with protocol-shaped inputs.
 FUZZTIME ?= 30s
 
-.PHONY: check build lint vet test test-race race crash-test tree-test chaos-test chaos-soak store-test fuzz-short bench-smoke bench bench-short bench-diff bench-scaling bench-tree bench-store
+.PHONY: check build lint vet test test-race race crash-test tree-test chaos-test chaos-soak store-test fuzz-short bench-smoke bench bench-short bench-diff bench-scaling bench-tree bench-store bench-build bench-e2e
 
-check: build lint race crash-test tree-test chaos-test store-test fuzz-short bench-smoke bench-short
+check: build lint race crash-test tree-test chaos-test store-test fuzz-short bench-smoke bench-short bench-build
 
 build:
 	$(GO) build ./...
@@ -172,6 +173,25 @@ bench-store:
 	$(GO) run ./cmd/benchjson -o $(BENCH_STORE_JSON) \
 		-note "historical-query replay: cold/warm/slide vs window length; epoch-log append/lookup cost per cell" < bench_store.txt
 	$(GO) run ./cmd/benchjson -store-gate $(STORE_MIN) $(BENCH_STORE_JSON)
+
+# The epoch-round benchmark (epochbench/) is its own Go module, so the
+# root `go build ./...` and `go test ./...` never compile it: an API break
+# in the packages it drives would go unnoticed until the benchmark runs.
+# bench-build vets it and runs its short test (every workload for a few
+# rounds with the answer checker on).
+bench-build:
+	$(GO) -C epochbench vet ./...
+	$(GO) -C epochbench test -short -count=1 ./...
+
+# The end-to-end epoch-round benchmark on its three workloads; each run
+# prints its result as the last line (see epochbench/README.md).
+# E2E_SECONDS sets the length of each timed phase.
+E2E_SEED ?= 1
+E2E_SECONDS ?= 30
+bench-e2e:
+	for w in flat-spread tree-size history-size; do \
+		bash epochbench/run.sh --workload $$w --seed $(E2E_SEED) --seconds $(E2E_SECONDS) --trace 0 || exit 1; \
+	done
 
 # benchcmp-style ns/op comparison of two benchjson documents, e.g.
 # `make bench-short && make bench-diff OLD=BENCH_PR5.json NEW=bench_short.json`.

@@ -1,14 +1,11 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log"
 	"math"
 	"net"
-	"os"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -116,81 +113,30 @@ type CenterConfig struct {
 	// and is evicted instead of wedging the push round behind its dead
 	// socket. Zero = block forever.
 	WriteTimeout time.Duration
-	// forceLegacyCodec pins every connection to CodecLegacy regardless of
-	// what points offer. Test hook standing in for a pre-codec binary.
-	forceLegacyCodec bool
 }
 
 // defaultReplayCacheBytes is the replay-cache budget when the store is
 // enabled and CenterConfig.ReplayCacheBytes is zero.
 const defaultReplayCacheBytes = 64 << 20
 
-// CenterServer is a running measurement center.
+// CenterServer is a running measurement center. The embedded session
+// serves the points (or relays) declared in CenterConfig.Widths; its mutex
+// guards the counters below.
 type CenterServer struct {
+	session
 	cfg CenterConfig
-	ln  net.Listener
 
 	// eng is the design-erased protocol engine (see engine.go).
 	eng centerEngine
 
-	ckpt        *durable.Store // nil when durability is disabled
-	ckptEvery   int64
-	ckptMu      sync.Mutex // serializes checkpoint writes
-	restoredGen uint64     // generation restored at startup (0 = fresh)
-
 	store   *durable.Log // nil when the epoch-log store is disabled
 	histSrv *QueryServer // nil unless HistoryAddr is set
 
-	mu          sync.Mutex
-	cond        *sync.Cond // broadcast on every counter change (Wait* helpers)
-	conns       map[int]*pointConn
-	received    map[int64]int // uploads seen per epoch
-	uploads     int64
-	rounds      int64
-	dups        int64
-	gaps        int64
-	repushes    int64
-	backfills   int64
-	checkpoints int64
-	heartbeats  int64
-	evictions   int64
-	storeErrs   int64 // epoch-log append failures (never fatal)
-	lastPush    int64 // most recent ForEpoch pushed (0 = none yet)
-	lastRoundAt time.Time
-	closed      bool
-
-	wg sync.WaitGroup
-}
-
-type pointConn struct {
-	point int
-	conn  net.Conn
-	enc   *gob.Encoder
-	// codec is the payload codec negotiated in this connection's
-	// handshake; pushes to the point are marshaled with it.
-	codec int
-	// wto bounds each encode on the connection (0 = never time out).
-	wto time.Duration
-	mu  sync.Mutex // serializes Push encoding
-}
-
-func (pc *pointConn) push(p Push) error { return pc.send(p) }
-
-func (pc *pointConn) send(v any) error {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.wto > 0 {
-		_ = pc.conn.SetWriteDeadline(time.Now().Add(pc.wto))
-		defer pc.conn.SetWriteDeadline(time.Time{})
-	}
-	return pc.enc.Encode(v)
-}
-
-// isWedged reports whether a connection error means the peer is wedged
-// (deadline expired) rather than gone (reset, EOF, closed). Wedged peers
-// are evicted and counted; gone peers just disconnect.
-func isWedged(err error) bool {
-	return errors.Is(err, os.ErrDeadlineExceeded)
+	received  map[int64]int // uploads seen per epoch
+	uploads   int64
+	dups      int64
+	gaps      int64
+	storeErrs int64 // epoch-log append failures (never fatal)
 }
 
 // ServeCenter starts a measurement center listening on cfg.Addr. The
@@ -200,11 +146,15 @@ func ServeCenter(cfg CenterConfig) (*CenterServer, error) {
 		cfg.Logf = log.Printf
 	}
 	s := &CenterServer{
+		session: session{
+			role: "center", child: "point",
+			kind: cfg.Kind, widths: cfg.Widths, weights: cfg.Weights, shard: cfg.Shard,
+			readTimeout: cfg.ReadTimeout, writeTimeout: cfg.WriteTimeout, logf: cfg.Logf,
+		},
 		cfg:      cfg,
-		conns:    make(map[int]*pointConn),
 		received: make(map[int64]int),
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.init(s, cfg.CheckpointEvery)
 	eng, err := newCenterEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -216,62 +166,18 @@ func ServeCenter(cfg CenterConfig) (*CenterServer, error) {
 		eng.setWeight(id, w)
 	}
 	s.eng = eng
-	s.ckptEvery = int64(cfg.CheckpointEvery)
-	if s.ckptEvery < 1 {
-		s.ckptEvery = 1
-	}
 	if cfg.CheckpointDir != "" {
-		store, err := durable.Open(cfg.CheckpointDir, "center")
-		if err != nil {
-			return nil, fmt.Errorf("transport: open checkpoint store: %w", err)
+		if s.ckpt, s.restoredGen, err = openCheckpoint(cfg.CheckpointDir, "center", s.restoreCheckpoint); err != nil {
+			return nil, err
 		}
-		s.ckpt = store
-		sections, gen, err := store.Load()
-		switch {
-		case errors.Is(err, durable.ErrNoCheckpoint):
-			// Fresh start: nothing to restore.
-		case err != nil:
-			// Every retained generation is corrupt. Refusing to start is
-			// safer than silently discarding the window: the operator can
-			// clear the directory to accept the loss explicitly.
-			return nil, fmt.Errorf("transport: load center checkpoint: %w", err)
-		default:
-			if err := s.restoreCheckpoint(sections); err != nil {
-				return nil, fmt.Errorf("transport: restore center checkpoint (generation %d): %w", gen, err)
-			}
-			s.restoredGen = gen
-			// Rounds the restored state had completed but not pushed fire
-			// now, so the first reconnecting points find lastPush current.
-			for _, e := range s.recomputeReceived() {
-				if err := s.pushRound(e + 1); err != nil {
-					return nil, err
-				}
-			}
+		// Rounds the restored state had completed but not pushed fire now,
+		// so the first reconnecting points find lastPush current.
+		for _, e := range s.recomputeReceived() {
+			s.pushRound(e + 1)
 		}
 	}
-	if cfg.StoreDir != "" {
-		store, err := durable.OpenLog(durable.LogConfig{
-			Dir:             cfg.StoreDir,
-			RetainEpochs:    cfg.RetainEpochs,
-			MaxBytes:        cfg.StoreMaxBytes,
-			MaxSegmentBytes: cfg.StoreSegmentBytes,
-			// Compaction eviction must reach the replay cache before any
-			// query can hit a partial for an epoch the store no longer
-			// holds; the callback fires outside the log's locks.
-			OnEvict: func(minEpoch, maxEpoch int64) {
-				s.eng.invalidateReplayEpochs(minEpoch, maxEpoch)
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("transport: open epoch-log store: %w", err)
-		}
-		s.store = store
-		if budget := cfg.ReplayCacheBytes; budget >= 0 {
-			if budget == 0 {
-				budget = defaultReplayCacheBytes
-			}
-			s.eng.enableReplayCache(budget)
-		}
+	if err := s.openStore(); err != nil {
+		return nil, err
 	}
 	if cfg.HistoryAddr != "" {
 		hs, err := ServeQueriesHist(cfg.HistoryAddr, s.liveAnswer, HistoryHandler{
@@ -279,34 +185,48 @@ func ServeCenter(cfg CenterConfig) (*CenterServer, error) {
 			Range: s.HistoryRange,
 		})
 		if err != nil {
-			if s.store != nil {
-				_ = s.store.Close()
-			}
+			_ = s.Close()
 			return nil, err
 		}
 		s.histSrv = hs
 	}
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		if ln, err = net.Listen("tcp", cfg.Addr); err != nil {
-			if s.histSrv != nil {
-				_ = s.histSrv.Close()
-			}
-			if s.store != nil {
-				_ = s.store.Close()
-			}
-			return nil, fmt.Errorf("transport: listen: %w", err)
-		}
+	if err := s.serve(cfg.Listener, cfg.Addr); err != nil {
+		_ = s.Close()
+		return nil, err
 	}
-	s.ln = ln
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
-// Addr returns the bound listen address.
-func (s *CenterServer) Addr() net.Addr { return s.ln.Addr() }
+// openStore opens the epoch-log store and attaches the replay cache when
+// StoreDir is configured.
+func (s *CenterServer) openStore() error {
+	if s.cfg.StoreDir == "" {
+		return nil
+	}
+	store, err := durable.OpenLog(durable.LogConfig{
+		Dir:             s.cfg.StoreDir,
+		RetainEpochs:    s.cfg.RetainEpochs,
+		MaxBytes:        s.cfg.StoreMaxBytes,
+		MaxSegmentBytes: s.cfg.StoreSegmentBytes,
+		// Compaction eviction must reach the replay cache before any
+		// query can hit a partial for an epoch the store no longer
+		// holds; the callback fires outside the log's locks.
+		OnEvict: func(minEpoch, maxEpoch int64) {
+			s.eng.invalidateReplayEpochs(minEpoch, maxEpoch)
+		},
+	})
+	if err != nil {
+		return fmt.Errorf("transport: open epoch-log store: %w", err)
+	}
+	s.store = store
+	if budget := s.cfg.ReplayCacheBytes; budget >= 0 {
+		if budget == 0 {
+			budget = defaultReplayCacheBytes
+		}
+		s.eng.enableReplayCache(budget)
+	}
+	return nil
+}
 
 // CenterStats counts protocol activity at the center.
 type CenterStats struct {
@@ -502,82 +422,9 @@ func (s *CenterServer) WaitUploads(n int64) bool {
 	return s.waitCond(func() bool { return s.uploads+s.dups+s.gaps >= n })
 }
 
-// WaitRounds blocks until at least n ST-join rounds have been pushed, or
-// the center closes.
-func (s *CenterServer) WaitRounds(n int64) bool {
-	return s.waitCond(func() bool { return s.rounds >= n })
-}
-
-// WaitConnected blocks until exactly n points are connected, or the
-// center closes.
-func (s *CenterServer) WaitConnected(n int) bool {
-	return s.waitCond(func() bool { return len(s.conns) == n })
-}
-
-// WaitPushEpoch blocks until a round with ForEpoch >= e has been pushed,
-// the timeout elapses, or the center closes. Unlike WaitRounds it needs
-// no model of how many back-rounds a recovery replays, which makes it the
-// watchdog primitive for chaos schedules: "the cluster reached epoch e,
-// or it is wedged".
-func (s *CenterServer) WaitPushEpoch(e int64, timeout time.Duration) bool {
-	return s.waitCondFor(timeout, func() bool { return s.lastPush >= e })
-}
-
-// WaitConnectedFor is WaitConnected with a watchdog timeout.
-func (s *CenterServer) WaitConnectedFor(n int, timeout time.Duration) bool {
-	return s.waitCondFor(timeout, func() bool { return len(s.conns) == n })
-}
-
-// WaitHeartbeats blocks until at least n heartbeat frames have been
-// accepted, the timeout elapses, or the center closes.
-func (s *CenterServer) WaitHeartbeats(n int64, timeout time.Duration) bool {
-	return s.waitCondFor(timeout, func() bool { return s.heartbeats >= n })
-}
-
-// waitCond blocks on the stats condition variable until cond (evaluated
-// under s.mu) holds or the center closes.
-func (s *CenterServer) waitCond(cond func() bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !cond() && !s.closed {
-		s.cond.Wait()
-	}
-	return cond()
-}
-
-// waitCondFor is waitCond with a deadline: it returns the condition's
-// truth when it first holds, the center closes, or the timeout elapses.
-func (s *CenterServer) waitCondFor(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer timer.Stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !cond() && !s.closed && time.Now().Before(deadline) {
-		s.cond.Wait()
-	}
-	return cond()
-}
-
 // Close stops the server and drops all point connections.
 func (s *CenterServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	conns := make([]*pointConn, 0, len(s.conns))
-	for _, pc := range s.conns {
-		conns = append(conns, pc)
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	err := s.ln.Close()
-	for _, pc := range conns {
-		_ = pc.conn.Close()
-	}
-	s.wg.Wait()
+	err := s.shutdown()
 	if s.histSrv != nil {
 		_ = s.histSrv.Close()
 	}
@@ -589,188 +436,24 @@ func (s *CenterServer) Close() error {
 	return err
 }
 
-func (s *CenterServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if err := s.handle(conn); err != nil && !s.isClosed() {
-				s.cfg.Logf("transport: center connection error: %v", err)
-			}
-		}()
-	}
-}
-
-func (s *CenterServer) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-func (s *CenterServer) handle(conn net.Conn) (err error) {
-	defer conn.Close()
-	// A malformed message must never take the whole center down: the
-	// decode and unmarshal paths below return errors on everything the
-	// fuzzers generate, and this guard turns any survivor panic into a
-	// dropped connection.
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic handling connection: %v", r)
-		}
-	}()
-	dec := gob.NewDecoder(conn)
-	var hello Hello
-	if err := s.decodeBounded(conn, dec, &hello); err != nil {
-		return fmt.Errorf("decode hello: %w", err)
-	}
-	wantW, ok := s.cfg.Widths[hello.Point]
-	if !ok || hello.Kind != s.cfg.Kind || hello.W != wantW {
-		return fmt.Errorf("hello mismatch from point %d: %+v", hello.Point, hello)
-	}
-	if hello.Shard != s.cfg.Shard {
-		return fmt.Errorf("point %d dialed shard %d but this center is shard %d", hello.Point, hello.Shard, s.cfg.Shard)
-	}
-	if w := normWeight(hello.Weight); w != normWeight(s.cfg.Weights[hello.Point]) {
-		return fmt.Errorf("point %d announced weight %d, topology says %d", hello.Point, w, normWeight(s.cfg.Weights[hello.Point]))
-	}
-	pc := &pointConn{
-		point: hello.Point, conn: conn, enc: gob.NewEncoder(conn),
-		codec: negotiateCodec(hello.Codec, s.ownCodec()),
-		wto:   s.cfg.WriteTimeout,
-	}
-	welcome := s.welcomeFor(hello.Point)
-	welcome.Codec = pc.codec
-	if err := pc.send(welcome); err != nil {
-		return fmt.Errorf("send welcome to point %d: %w", hello.Point, err)
-	}
-	s.mu.Lock()
-	if old, dup := s.conns[hello.Point]; dup {
-		// Connection takeover: a reconnecting point (agent restart, NAT
-		// rebinding) replaces its stale connection. The old handler exits
-		// on its closed socket.
-		_ = old.conn.Close()
-	}
-	s.conns[hello.Point] = pc
-	lastPush := s.lastPush
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		// Only remove the registration if it still belongs to this
-		// connection; a takeover may already have replaced it.
-		if s.conns[hello.Point] == pc {
-			delete(s.conns, hello.Point)
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}()
-
-	// K is the epoch the point lives in after the handshake: its own clock,
-	// or the cluster's if that is ahead (Welcome.ResumeEpoch fast-forwards
-	// it). A point whose state is behind K lost its window — a restart
-	// without (or from an old) checkpoint — and gets the backfill exchange;
-	// a point merely reconnecting mid-epoch gets the plain re-push of the
-	// current round, which it drops if already merged (ErrStaleEpoch /
-	// ErrDuplicatePush).
-	K := welcome.ResumeEpoch
-	if hello.StateEpoch > K {
-		K = hello.StateEpoch
-	}
-	switch {
-	case hello.StateEpoch < K && K > 1:
-		if err := s.backfillTo(pc, K); err != nil {
-			s.cfg.Logf("transport: backfill to point %d: %v", hello.Point, err)
-		}
-	case lastPush > 0:
-		if err := s.pushTo(pc, lastPush); err != nil {
-			s.cfg.Logf("transport: re-push to point %d: %v", hello.Point, err)
-		} else {
-			s.mu.Lock()
-			s.repushes++
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		}
-	}
-
-	for {
-		var up Upload
-		if err := s.decodeBounded(conn, dec, &up); err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			if isWedged(err) {
-				s.bumpEvictions()
-				return fmt.Errorf("evicting point %d: no frame within %v (half-open peer?)", hello.Point, s.cfg.ReadTimeout)
-			}
-			return fmt.Errorf("decode upload: %w", err)
-		}
-		if up.Point != hello.Point {
-			return fmt.Errorf("upload claims point %d on connection of point %d", up.Point, hello.Point)
-		}
-		if up.Heartbeat {
-			s.mu.Lock()
-			s.heartbeats++
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			continue
-		}
-		if err := s.ingest(up); err != nil {
-			return err
-		}
-	}
-}
-
-// decodeBounded decodes one frame, arming the connection's read deadline
-// first when ReadTimeout is configured. A child must produce SOME frame
-// (upload or heartbeat) within each window or the decode fails with
-// os.ErrDeadlineExceeded and the caller evicts it.
-func (s *CenterServer) decodeBounded(conn net.Conn, dec *gob.Decoder, v any) error {
-	if s.cfg.ReadTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	}
-	return dec.Decode(v)
-}
-
-func (s *CenterServer) bumpEvictions() {
-	s.mu.Lock()
-	s.evictions++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// ownCodec is the highest payload codec this center advertises.
-func (s *CenterServer) ownCodec() int {
-	if s.cfg.forceLegacyCodec {
-		return CodecLegacy
-	}
-	return CodecPacked
-}
-
-// normWeight maps the wire/config weight encoding (0 = unset) to the
-// effective leaf count (>= 1).
-func normWeight(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
-// welcomeFor builds the handshake reply for one point from the center's
-// view of the epoch clock. Points is the cluster's LEAF count (the sum of
+// welcome builds the handshake reply for one point from the center's view
+// of the epoch clock. Points is the cluster's LEAF count (the sum of
 // direct-child weights), which is what every point's coverage accounting
 // measures against — identical tree-fed or flat.
-func (s *CenterServer) welcomeFor(point int) Welcome {
+func (s *CenterServer) welcome(h Hello) Welcome {
 	return Welcome{
 		WindowN:     s.cfg.WindowN,
 		Points:      s.eng.totalWeight(),
 		ResumeEpoch: s.eng.maxEpoch() + 1,
-		PointEpoch:  s.eng.lastEpoch(point),
+		PointEpoch:  s.eng.lastEpoch(h.Point),
 	}
+}
+
+// roundPush builds one point's push for round forEpoch from the window
+// store, stamped with the aggregate's window coverage.
+func (s *CenterServer) roundPush(point int, forEpoch int64) (Push, bool, error) {
+	push, err := s.eng.buildPush(point, forEpoch, s.cfg.Enhance)
+	return push, true, err
 }
 
 // ingest stores one upload and, once every point reported the epoch,
@@ -812,7 +495,7 @@ func (s *CenterServer) ingest(up Upload) error {
 		s.appendStore(up.Point, up.Epoch)
 	}
 	if complete {
-		return s.pushRound(up.Epoch + 1)
+		s.pushRound(up.Epoch + 1)
 	}
 	return nil
 }
@@ -837,57 +520,22 @@ func (s *CenterServer) appendStore(point int, epoch int64) {
 	}
 	if err != nil {
 		s.cfg.Logf("transport: epoch-log append (%d, %d): %v", point, epoch, err)
-		s.mu.Lock()
-		s.storeErrs++
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		s.bump(&s.storeErrs)
 	}
-}
-
-// buildPush assembles one point's Push for the given epoch, stamping the
-// aggregate's window coverage and marshaling payloads under the codec the
-// point's connection negotiated.
-func (s *CenterServer) buildPush(pc *pointConn, forEpoch int64) (Push, error) {
-	return s.eng.buildPush(pc.point, forEpoch, s.cfg.Enhance, pc.codec >= CodecPacked)
-}
-
-// pushTo sends one point its Push for forEpoch.
-func (s *CenterServer) pushTo(pc *pointConn, forEpoch int64) error {
-	push, err := s.buildPush(pc, forEpoch)
-	if err != nil {
-		return err
-	}
-	return pc.push(push)
 }
 
 // pushRound computes and sends each point's aggregate (and enhancement)
 // for the given epoch.
-func (s *CenterServer) pushRound(forEpoch int64) error {
-	s.mu.Lock()
-	conns := make([]*pointConn, 0, len(s.conns))
-	for _, pc := range s.conns {
-		conns = append(conns, pc)
-	}
-	s.mu.Unlock()
-	for _, pc := range conns {
-		if err := s.pushTo(pc, forEpoch); err != nil {
-			s.cfg.Logf("transport: push to point %d: %v", pc.point, err)
-			if isWedged(err) {
-				// The child stopped draining pushes: evict it rather than
-				// let its dead socket (and poisoned encoder) linger. Its
-				// handler's next read fails and cleans up; the child
-				// re-admits through the normal resync handshake.
-				_ = pc.conn.Close()
-				s.bumpEvictions()
-			}
-		}
-	}
+func (s *CenterServer) pushRound(forEpoch int64) {
+	s.fanOut(func(point int) (Push, error) {
+		return s.eng.buildPush(point, forEpoch, s.cfg.Enhance)
+	})
 	s.mu.Lock()
 	if forEpoch > s.lastPush {
 		s.lastPush = forEpoch
 	}
 	s.lastRoundAt = time.Now()
-	doCkpt := s.ckpt != nil && (s.rounds+1)%s.ckptEvery == 0
+	doCkpt := s.checkpointDueLocked()
 	s.mu.Unlock()
 	if doCkpt {
 		// Checkpoint before the round becomes observable through the
@@ -895,9 +543,5 @@ func (s *CenterServer) pushRound(forEpoch int64) error {
 		// pushed" implies "round n durable".
 		s.writeCheckpoint()
 	}
-	s.mu.Lock()
-	s.rounds++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return nil
+	s.bump(&s.rounds)
 }

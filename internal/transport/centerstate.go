@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/core"
@@ -35,9 +33,7 @@ type centerCheckpoint struct {
 }
 
 // writeCheckpoint exports the center's state and saves it as a new durable
-// generation. Failures are logged, not fatal: the center keeps serving and
-// retries at the next boundary, degrading recovery freshness rather than
-// availability.
+// generation (see session.saveCheckpoint).
 func (s *CenterServer) writeCheckpoint() {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -59,37 +55,16 @@ func (s *CenterServer) writeCheckpoint() {
 		s.cfg.Logf("transport: export center checkpoint: %v", err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		s.cfg.Logf("transport: encode center checkpoint: %v", err)
-		return
-	}
-	if err := s.ckpt.Save([]durable.Section{{Name: "center", Data: buf.Bytes()}}); err != nil {
-		s.cfg.Logf("transport: write center checkpoint: %v", err)
-		return
-	}
-	s.mu.Lock()
-	s.checkpoints++
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.saveCheckpoint(ck)
 }
 
 // restoreCheckpoint replaces the center's fresh state with a loaded
 // checkpoint, after verifying it was written under the same topology.
 // Called from ServeCenter before the listener exists.
 func (s *CenterServer) restoreCheckpoint(sections []durable.Section) error {
-	var data []byte
-	for _, sec := range sections {
-		if sec.Name == "center" {
-			data = sec.Data
-		}
-	}
-	if data == nil {
-		return fmt.Errorf("checkpoint has no center section")
-	}
 	var ck centerCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
-		return fmt.Errorf("decode: %w", err)
+	if err := s.loadSection(sections, &ck); err != nil {
+		return err
 	}
 	if ck.Kind != s.cfg.Kind || ck.WindowN != s.cfg.WindowN || ck.Seed != s.cfg.Seed {
 		return fmt.Errorf("checkpoint topology (%s, n=%d, seed=%d) does not match the configured (%s, n=%d, seed=%d)",
@@ -103,17 +78,8 @@ func (s *CenterServer) restoreCheckpoint(sections []durable.Section) error {
 	if ck.D != s.cfg.D {
 		return fmt.Errorf("checkpoint D=%d does not match the configured D=%d", ck.D, s.cfg.D)
 	}
-	if len(ck.Widths) != len(s.cfg.Widths) {
-		return fmt.Errorf("checkpoint has %d points, configured %d", len(ck.Widths), len(s.cfg.Widths))
-	}
-	for id, w := range s.cfg.Widths {
-		if ck.Widths[id] != w {
-			return fmt.Errorf("checkpoint width %d for point %d, configured %d", ck.Widths[id], id, w)
-		}
-		if normWeight(ck.Weights[id]) != normWeight(s.cfg.Weights[id]) {
-			return fmt.Errorf("checkpoint weight %d for point %d, configured %d",
-				normWeight(ck.Weights[id]), id, normWeight(s.cfg.Weights[id]))
-		}
+	if err := checkTopology(ck.Widths, ck.Weights, s.cfg.Widths, s.cfg.Weights); err != nil {
+		return err
 	}
 	if ck.Shard != s.cfg.Shard {
 		return fmt.Errorf("checkpoint is for shard %d, configured shard %d", ck.Shard, s.cfg.Shard)
@@ -160,39 +126,4 @@ func (s *CenterServer) recomputeReceived() []int64 {
 		}
 	}
 	return complete
-}
-
-// backfillTo runs the backfill exchange for a point that rejoined epoch K
-// without its window state (restart with no checkpoint, or from one the
-// cluster has moved past): first an IntoCurrent push carrying the
-// aggregate the center sent during K-1 — exactly the center part of epoch
-// K's window, which the point merges straight into its query target —
-// then the regular staged push for K, so the point's next epoch boundary
-// proceeds as if it had never been away.
-func (s *CenterServer) backfillTo(pc *pointConn, K int64) error {
-	fill, err := s.buildPush(pc, K-1)
-	if err != nil {
-		return err
-	}
-	if len(fill.Aggregate) > 0 {
-		fill.ForEpoch = K
-		fill.IntoCurrent = true
-		// The K-1 enhancement targets an epoch the point no longer holds;
-		// the aggregate already covers its span.
-		fill.Enhancement = nil
-		if err := pc.push(fill); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.backfills++
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-	return s.pushTo(pc, K)
-}
-
-// WaitCheckpoints blocks until at least n checkpoints have been written
-// this process lifetime, or the center closes.
-func (s *CenterServer) WaitCheckpoints(n int64) bool {
-	return s.waitCond(func() bool { return s.checkpoints >= n })
 }

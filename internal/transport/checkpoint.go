@@ -3,11 +3,54 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/durable"
 )
+
+// openCheckpoint opens the durable checkpoint store dir/name (the center,
+// a relay and a point each keep one) and hands the newest intact
+// generation to restore, returning that generation (0 = fresh start). A
+// directory whose every retained generation is corrupt is an error:
+// refusing to start is safer than silently discarding the state, and the
+// operator can clear the directory to accept the loss explicitly.
+func openCheckpoint(dir, name string, restore func([]durable.Section) error) (*durable.Store, uint64, error) {
+	store, err := durable.Open(dir, name)
+	if err != nil {
+		return nil, 0, fmt.Errorf("transport: open %s checkpoint store: %w", name, err)
+	}
+	sections, gen, err := store.Load()
+	switch {
+	case errors.Is(err, durable.ErrNoCheckpoint):
+		return store, 0, nil
+	case err != nil:
+		return nil, 0, fmt.Errorf("transport: load %s checkpoint: %w", name, err)
+	}
+	if err := restore(sections); err != nil {
+		return nil, 0, fmt.Errorf("transport: restore %s checkpoint (generation %d): %w", name, gen, err)
+	}
+	return store, gen, nil
+}
+
+// checkTopology verifies that a checkpoint was written for the configured
+// children: the same ids, widths and leaf weights.
+func checkTopology(ckWidths, ckWeights, widths, weights map[int]int) error {
+	if len(ckWidths) != len(widths) {
+		return fmt.Errorf("checkpoint has %d children, configured %d", len(ckWidths), len(widths))
+	}
+	for id, w := range widths {
+		if ckWidths[id] != w {
+			return fmt.Errorf("checkpoint width %d for child %d, configured %d", ckWidths[id], id, w)
+		}
+		if normWeight(ckWeights[id]) != normWeight(weights[id]) {
+			return fmt.Errorf("checkpoint weight %d for child %d, configured %d",
+				normWeight(ckWeights[id]), id, normWeight(weights[id]))
+		}
+	}
+	return nil
+}
 
 // Point-side durability: each epoch-boundary checkpoint is a durable
 // container (internal/durable) with three sections.
@@ -59,7 +102,7 @@ func (c *PointClient) checkpointSectionsLocked() ([]durable.Section, error) {
 	mbuf := make([]byte, 0, 34)
 	mbuf = append(mbuf, pointMetaVersion)
 	mbuf = binary.LittleEndian.AppendUint32(mbuf, uint32(c.points))
-	mbuf = binary.LittleEndian.AppendUint32(mbuf, uint32(c.windowN))
+	mbuf = binary.LittleEndian.AppendUint32(mbuf, uint32(c.up.windowN))
 	var flags byte
 	if meta.AggApplied {
 		flags |= 1 << 0
@@ -83,8 +126,8 @@ func (c *PointClient) checkpointSectionsLocked() ([]durable.Section, error) {
 
 	ubuf := make([]byte, 0, 64)
 	ubuf = append(ubuf, pointUploadsVersion)
-	ubuf = binary.LittleEndian.AppendUint32(ubuf, uint32(len(c.pending)))
-	for _, p := range c.pending {
+	ubuf = binary.LittleEndian.AppendUint32(ubuf, uint32(len(c.up.pending)))
+	for _, p := range c.up.pending {
 		ubuf = binary.LittleEndian.AppendUint64(ubuf, uint64(p.up.Epoch))
 		var f byte
 		if p.attempted {
@@ -198,9 +241,9 @@ func (c *PointClient) restoreCheckpoint(sections []durable.Section) error {
 
 	c.mu.Lock()
 	c.points = points
-	c.windowN = windowN
+	c.up.windowN = windowN
 	c.needRebase = flags&(1<<4) != 0
-	c.pending = pending
+	c.up.pending = pending
 	c.mu.Unlock()
 	return nil
 }

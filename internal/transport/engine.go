@@ -33,22 +33,14 @@ const (
 	SketchVhll = "vhll"
 )
 
-// compactMarshaler is implemented by every sketch backend: the run-length
-// (CodecPacked) encoding next to the encoding.BinaryMarshaler fixed one.
-type compactMarshaler interface {
+// wireSketch is an epoch sketch as the transport ships it: the core merge
+// algebra plus the compact encoding (run-length HLL registers, varint
+// CountMin rows) every Upload and Push payload travels in — the one codec
+// this protocol speaks (CodecPacked). Decoders still accept the fixed
+// encoding, dispatching on the sketch magic.
+type wireSketch[S any] interface {
+	core.Sketch[S]
 	MarshalBinaryCompact() ([]byte, error)
-}
-
-// marshalSketch encodes one sketch blob under the negotiated codec. Every
-// backend implements compactMarshaler; the fallback keeps a hypothetical
-// future backend without a compact form on the wire rather than failing.
-func marshalSketch[S core.Sketch[S]](sk S, compact bool) ([]byte, error) {
-	if compact {
-		if cm, ok := any(sk).(compactMarshaler); ok {
-			return cm.MarshalBinaryCompact()
-		}
-	}
-	return sk.MarshalBinary()
 }
 
 // sketchPool recycles decoded sketch scratch on paths that never retain
@@ -93,9 +85,8 @@ type pointEngine interface {
 	query(f uint64) float64
 	queryCov(f uint64) (float64, core.Coverage)
 	// endEpoch rolls the epoch and returns the finished epoch's number,
-	// marshaled upload and protocol metadata. compact selects the
-	// CodecPacked payload encoding negotiated for the connection.
-	endEpoch(rebase, compact bool) (int64, []byte, core.UploadMeta, error)
+	// marshaled upload and protocol metadata.
+	endEpoch(rebase bool) (int64, []byte, core.UploadMeta, error)
 	applyAggregate(forEpoch int64, data []byte, merged int) error
 	applyEnhancement(forEpoch int64, data []byte) error
 	applyBackfill(forEpoch int64, data []byte, merged int) error
@@ -144,7 +135,7 @@ type pointCodec[S core.Sketch[S]] struct {
 
 // enginePoint is the single point-engine implementation, generic over the
 // epoch sketch.
-type enginePoint[S core.Sketch[S]] struct {
+type enginePoint[S wireSketch[S]] struct {
 	pt    *core.Point[S]
 	codec pointCodec[S]
 	// scratch recycles decode buffers across pushes: every apply below
@@ -154,7 +145,7 @@ type enginePoint[S core.Sketch[S]] struct {
 }
 
 // newEnginePoint wires the scratch pool to the codec's decoder.
-func newEnginePoint[S core.Sketch[S]](pt *core.Point[S], codec pointCodec[S]) *enginePoint[S] {
+func newEnginePoint[S wireSketch[S]](pt *core.Point[S], codec pointCodec[S]) *enginePoint[S] {
 	e := &enginePoint[S]{pt: pt, codec: codec}
 	e.scratch.dec = codec.dec
 	return e
@@ -189,10 +180,10 @@ func (e *enginePoint[S]) queryUnionCov(f uint64, peers []pointEngine) (float64, 
 	return est, cov, nil
 }
 
-func (e *enginePoint[S]) endEpoch(rebase, compact bool) (int64, []byte, core.UploadMeta, error) {
+func (e *enginePoint[S]) endEpoch(rebase bool) (int64, []byte, core.UploadMeta, error) {
 	epoch := e.pt.Epoch()
 	up, meta := e.pt.EndEpochMeta(rebase)
-	data, err := marshalSketch(up, compact)
+	data, err := up.MarshalBinaryCompact()
 	return epoch, data, meta, err
 }
 
@@ -319,9 +310,8 @@ type centerEngine interface {
 	setWeight(point, weight int)
 	totalWeight() int
 	receive(up Upload) error
-	// buildPush assembles one point's Push; compact selects the
-	// CodecPacked payload encoding negotiated for that point's connection.
-	buildPush(point int, forEpoch int64, enhance, compact bool) (Push, error)
+	// buildPush assembles one point's Push for round forEpoch.
+	buildPush(point int, forEpoch int64, enhance bool) (Push, error)
 	// reported tells whether the point's upload for the epoch counted
 	// toward its round (stored, or — in cumulative mode — consumed by the
 	// sequence position even when gap-dropped).
@@ -390,12 +380,9 @@ func (ls logSource[S]) EpochCells(epoch int64, points []int, visit func(point in
 // engineCenter is the single center-engine implementation, generic over
 // the epoch sketch. The three hooks carry what stays design-specific: the
 // upload validation path and the gob-frozen checkpoint state shapes.
-type engineCenter[S core.Sketch[S]] struct {
+type engineCenter[S wireSketch[S]] struct {
 	ctr *core.Center[S]
 	dec func([]byte) (S, error)
-	// enc is the canonical (compact) encoder the epoch log stores cells
-	// under — deterministic bytes regardless of connection codec.
-	enc func(S) ([]byte, error)
 	// recv ingests one decoded upload (the design wrapper's ReceiveMeta,
 	// which for size also checks the sketch parameters).
 	recv func(point int, epoch int64, sk S, meta core.UploadMeta) error
@@ -452,14 +439,14 @@ func (e *engineCenter[S]) receive(up Upload) error {
 	return err
 }
 
-func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance, compact bool) (Push, error) {
+func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance bool) (Push, error) {
 	push := Push{ForEpoch: forEpoch}
 	agg, err := e.ctr.AggregateFor(point, forEpoch)
 	if err != nil {
 		return push, err
 	}
 	if !core.IsNil(agg) {
-		if push.Aggregate, err = marshalSketch(agg, compact); err != nil {
+		if push.Aggregate, err = agg.MarshalBinaryCompact(); err != nil {
 			return push, err
 		}
 	}
@@ -469,7 +456,7 @@ func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance, compact 
 			return push, err
 		}
 		if !core.IsNil(enh) {
-			if push.Enhancement, err = marshalSketch(enh, compact); err != nil {
+			if push.Enhancement, err = enh.MarshalBinaryCompact(); err != nil {
 				return push, err
 			}
 		}
@@ -479,7 +466,7 @@ func (e *engineCenter[S]) buildPush(point int, forEpoch int64, enhance, compact 
 }
 
 func (e *engineCenter[S]) exportCell(point int, epoch int64) ([]byte, bool, error) {
-	return e.ctr.MarshalUpload(point, epoch, e.enc)
+	return e.ctr.MarshalUpload(point, epoch, S.MarshalBinaryCompact)
 }
 
 func (e *engineCenter[S]) historyAt(f uint64, k int64, log *durable.Log) (float64, core.Coverage, error) {
@@ -529,7 +516,6 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 			return &engineCenter[*rskt.Sketch]{
 				ctr:  ctr.Center,
 				dec:  decodeRskt,
-				enc:  (*rskt.Sketch).MarshalBinaryCompact,
 				recv: ctr.ReceiveMeta,
 				save: func(ck *centerCheckpoint) error {
 					// Compact blobs in the checkpoint: the import path
@@ -560,7 +546,6 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 			return &engineCenter[*vhll.Sketch]{
 				ctr:  ctr.Center,
 				dec:  decodeVhll,
-				enc:  (*vhll.Sketch).MarshalBinaryCompact,
 				recv: ctr.ReceiveMeta,
 				save: func(ck *centerCheckpoint) error {
 					st, err := ctr.ExportState(func(sk *vhll.Sketch) ([]byte, error) { return sk.MarshalBinaryCompact() })
@@ -594,7 +579,6 @@ func newCenterEngine(cfg CenterConfig) (centerEngine, error) {
 		return &engineCenter[*countmin.Sketch]{
 			ctr:     ctr.Center,
 			dec:     decodeCountMin,
-			enc:     (*countmin.Sketch).MarshalBinaryCompact,
 			recv:    ctr.ReceiveMeta,
 			cum:     mode == core.SizeModeCumulative,
 			scratch: &sketchPool[*countmin.Sketch]{dec: decodeCountMin},

@@ -634,7 +634,7 @@ func newRawCluster(t *testing.T, kind Kind) (*fcluster, *rawPoint) {
 	}
 	t.Cleanup(func() { conn.Close() })
 	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(Hello{Point: 0, Kind: kind, W: fmW}); err != nil {
+	if err := enc.Encode(Hello{Point: 0, Kind: kind, W: fmW, Codec: CodecPacked}); err != nil {
 		t.Fatal(err)
 	}
 	dec := gob.NewDecoder(conn)

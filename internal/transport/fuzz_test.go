@@ -89,10 +89,13 @@ func fuzzSizeSketchBytesCompact(t interface{ Fatal(args ...any) }) []byte {
 }
 
 // fuzzCenterSeeds are the committed protocol-shaped inputs for
-// FuzzCenterConn: well-formed handshakes and uploads plus their truncated
-// and corrupted variants.
+// FuzzCenterConn: handshakes and uploads plus their truncated and
+// corrupted variants. The early seeds predate the codec check (their Hello
+// carries no codec and is refused at the handshake); the packed ones after
+// them reach the upload path.
 func fuzzCenterSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	helloOK := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16})
+	helloPacked := Hello{Point: 0, Kind: KindSize, W: 16, Codec: CodecPacked}
 	upload := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
 		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t), AggApplied: false})
 	badSketch := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16},
@@ -111,13 +114,21 @@ func fuzzCenterSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 		wrongKind,
 		corrupt,
 		bytes.Repeat([]byte{0xFF}, 64),
+		fuzzGob(t, helloPacked),
+		fuzzGob(t, helloPacked,
+			Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytesCompact(t), AggApplied: false}),
+		fuzzGob(t, helloPacked, Upload{Point: 0, Epoch: 1, Heartbeat: true},
+			Upload{Point: 0, Epoch: 1, Sketch: []byte{0xC3, 0xFF, 0xFF, 0xFF, 0xFF}}),
 	}
 }
 
 // fuzzPointSeeds are the committed center→point stream inputs for
-// FuzzPointConn: a Welcome followed by pushes, plus hostile variants.
+// FuzzPointConn: a Welcome followed by pushes, plus hostile variants. As
+// for the center, the early seeds' Welcome predates the codec check; the
+// packed ones after them reach the push path.
 func fuzzPointSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	welcome := Welcome{WindowN: 5, Points: 2, ResumeEpoch: 1}
+	packed := Welcome{WindowN: 5, Points: 2, ResumeEpoch: 1, Codec: CodecPacked}
 	pushOK := fuzzGob(t, welcome,
 		Push{ForEpoch: 1, Aggregate: fuzzSpreadSketchBytes(t), CovMerged: 3, CovExpected: 6})
 	badAgg := fuzzGob(t, welcome, Push{ForEpoch: 1, Aggregate: []byte{0xA7, 0x00}})
@@ -132,6 +143,9 @@ func fuzzPointSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 		resync,
 		hostile,
 		bytes.Repeat([]byte{0xA7}, 48),
+		fuzzGob(t, packed,
+			Push{ForEpoch: 1, Aggregate: fuzzSpreadSketchBytesCompact(t), CovMerged: 3, CovExpected: 6}),
+		fuzzGob(t, packed, Push{ForEpoch: 1, Aggregate: []byte{0xA7, 0x00}}),
 	}
 }
 
@@ -179,7 +193,7 @@ func FuzzCenterConn(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer probe.Close()
-		if err := gob.NewEncoder(probe).Encode(Hello{Point: 1, Kind: KindSize, W: 16}); err != nil {
+		if err := gob.NewEncoder(probe).Encode(Hello{Point: 1, Kind: KindSize, W: 16, Codec: CodecPacked}); err != nil {
 			t.Fatalf("probe hello: %v", err)
 		}
 		var w Welcome

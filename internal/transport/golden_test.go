@@ -35,7 +35,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden wire-format fi
 // goldenMessages fixes one representative value per wire message. The
 // sketch payloads are real encodings so the goldens also pin the sketch
 // binary formats that ride inside Upload and Push — once per codec: the
-// *_packed variants carry CodecPacked payloads, the plain ones legacy.
+// *_packed variants carry the compact payloads every peer ships, the
+// plain ones the sketches' fixed encodings (which decoders still accept).
 func goldenMessages(t *testing.T) map[string]any {
 	t.Helper()
 	return map[string]any{
@@ -172,41 +173,6 @@ func TestGoldenDecodable(t *testing.T) {
 	whb := want["heartbeat"].(Upload)
 	if !hb.Heartbeat || hb.Point != whb.Point || hb.Epoch != whb.Epoch || len(hb.Sketch) != 0 {
 		t.Errorf("heartbeat decoded to %+v", hb)
-	}
-}
-
-// TestGoldenLegacyHandshakeDecodable proves a pre-codec peer's handshake
-// still reads correctly: the _v1 goldens were written by the message types
-// before the Codec field existed, and gob must leave the field zero —
-// CodecLegacy — when decoding them, which is exactly what keeps old peers
-// on the legacy payload encodings.
-func TestGoldenLegacyHandshakeDecodable(t *testing.T) {
-	read := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join("testdata", "golden", name+".bin"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	var h Hello
-	if err := gob.NewDecoder(bytes.NewReader(read("hello_v1"))).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Codec != CodecLegacy {
-		t.Errorf("legacy hello decoded with codec %d", h.Codec)
-	}
-	if h.Point != 3 || h.Kind != KindSpread || h.W != 32 || h.StateEpoch != 15 {
-		t.Errorf("legacy hello decoded to %+v", h)
-	}
-	var w Welcome
-	if err := gob.NewDecoder(bytes.NewReader(read("welcome_v1"))).Decode(&w); err != nil {
-		t.Fatal(err)
-	}
-	if w.Codec != CodecLegacy {
-		t.Errorf("legacy welcome decoded with codec %d", w.Codec)
-	}
-	if w.WindowN != 5 || w.Points != 4 || w.ResumeEpoch != 17 || w.PointEpoch != 15 {
-		t.Errorf("legacy welcome decoded to %+v", w)
 	}
 }
 

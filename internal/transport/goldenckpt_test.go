@@ -277,8 +277,8 @@ func TestLegacyCheckpointRestores(t *testing.T) {
 			if c.Epoch() != 4 {
 				t.Errorf("restored epoch %d, want 4", c.Epoch())
 			}
-			if len(c.pending) != 3 {
-				t.Errorf("restored %d buffered uploads, want 3", len(c.pending))
+			if len(c.up.pending) != 3 {
+				t.Errorf("restored %d buffered uploads, want 3", len(c.up.pending))
 			}
 		})
 	}

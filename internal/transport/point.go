@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -73,9 +72,6 @@ type PointConfig struct {
 	// ReadTimeout. Zero disables heartbeats — required against servers
 	// built before the heartbeat frame, which would try to ingest it.
 	HeartbeatEvery time.Duration
-	// forceLegacyCodec pins the point to CodecLegacy regardless of what
-	// the center offers. Test hook standing in for a pre-codec binary.
-	forceLegacyCodec bool
 }
 
 // PointStats counts protocol events at a point.
@@ -125,54 +121,32 @@ type PointStats struct {
 type PointClient struct {
 	cfg PointConfig
 
-	// mu guards the connection fields and the pending-upload buffer;
-	// uploads and redials serialize on it.
+	// mu guards the uplink's connection and retransmit buffer, done and
+	// the checkpointed topology and rebase state; uploads and redials
+	// serialize on it.
 	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	done chan struct{}
-	// pending holds the last window of epoch uploads: EndEpoch appends
-	// here first, then drains the unsent entries over the live
-	// connection. Uploads whose transmission failed stay unsent and are
-	// retransmitted after Redial, so epochs that end while the center is
-	// unreachable are not silently lost. Entries that were sent are
-	// retained (sent=true) instead of discarded: if a restarted center
-	// restores a checkpoint that predates them, the Welcome handshake
-	// requeues exactly the epochs the center lost. The buffer is capped at
-	// one window (n epochs): anything older falls outside every live
-	// ST-join, so retaining it only wastes memory.
-	pending []pendingUpload
-	// windowN and points arrive in the center's Welcome.
-	windowN int
-	points  int
+	up   uplink
+	done chan struct{} // closed when the current connection's reader exits
+	// points arrives in the center's Welcome (checkpointed for restarts).
+	points int
 	// needRebase marks that the cumulative chain at the center no longer
 	// matches this point's C lineage (restart, dropped uploads); the next
 	// EndEpoch sends a rebase upload to reseed it.
 	needRebase bool
-	// codec is the sketch-payload codec negotiated with the center in the
-	// last Hello↔Welcome handshake (atomic: EndEpoch reads it without the
-	// connection lock, a Redial may renegotiate concurrently).
-	codec atomic.Int32
 
 	// eng is the design-erased protocol engine (see engine.go): the
 	// generic core epoch engine behind the design's wire codec.
 	eng pointEngine
 
 	// ckpt is the durable checkpoint store (nil when durability is
-	// disabled); sleep is the backoff delay hook (time.Sleep outside
-	// tests).
-	ckpt  *durable.Store
-	sleep func(time.Duration)
+	// disabled).
+	ckpt *durable.Store
 
 	pushesApplied    atomic.Int64
 	pushesLate       atomic.Int64
 	pushesDup        atomic.Int64
-	uploadsRetried   atomic.Int64
-	uploadsDropped   atomic.Int64
 	backfillsApplied atomic.Int64
 	checkpoints      atomic.Int64
-	heartbeatsSent   atomic.Int64
-	writeTimeouts    atomic.Int64
 
 	// pushMu/pushCond let tests wait deterministically for the reader to
 	// process pushes (WaitPushes) without sleep-polling.
@@ -187,23 +161,19 @@ type PointClient struct {
 	ckptErr error // last checkpoint-write failure (nil after a success)
 }
 
-// pendingUpload is a buffered epoch upload. attempted marks uploads whose
-// first transmission failed (or that were buffered while disconnected);
-// sending one after reconnect counts as a retry. sent marks uploads the
-// encoder accepted; they stay buffered as history for center-restart
-// requeues until the window slides past them.
-type pendingUpload struct {
-	up        Upload
-	attempted bool
-	sent      bool
-}
-
 // DialPoint connects a new measurement point to the center. With
 // PointConfig.CheckpointDir set, the newest intact checkpoint is restored
 // first, so the point rejoins the cluster with the window, accounting and
 // retransmit buffer it crashed with.
 func DialPoint(cfg PointConfig) (*PointClient, error) {
-	c := &PointClient{cfg: cfg, sleep: time.Sleep}
+	c := &PointClient{cfg: cfg, up: uplink{
+		id:     cfg.Point,
+		addr:   cfg.Addr,
+		dial:   dialer(cfg.Dial, cfg.DialTimeout),
+		wto:    cfg.WriteTimeout,
+		redial: newBackoff(cfg.RedialBackoff, cfg.RedialBackoffMax),
+		sleep:  time.Sleep,
+	}}
 	c.pushCond = sync.NewCond(&c.pushMu)
 	eng, err := newPointEngine(cfg)
 	if err != nil {
@@ -211,21 +181,8 @@ func DialPoint(cfg PointConfig) (*PointClient, error) {
 	}
 	c.eng = eng
 	if cfg.CheckpointDir != "" {
-		store, err := durable.Open(cfg.CheckpointDir, fmt.Sprintf("point-%d", cfg.Point))
-		if err != nil {
-			return nil, fmt.Errorf("transport: open checkpoint store: %w", err)
-		}
-		c.ckpt = store
-		sections, gen, err := store.Load()
-		switch {
-		case errors.Is(err, durable.ErrNoCheckpoint):
-			// Fresh start: nothing to restore.
-		case err != nil:
-			return nil, fmt.Errorf("transport: load point checkpoint: %w", err)
-		default:
-			if err := c.restoreCheckpoint(sections); err != nil {
-				return nil, fmt.Errorf("transport: restore point checkpoint (generation %d): %w", gen, err)
-			}
+		if c.ckpt, _, err = openCheckpoint(cfg.CheckpointDir, fmt.Sprintf("point-%d", cfg.Point), c.restoreCheckpoint); err != nil {
+			return nil, err
 		}
 	}
 	if err := c.connect(); err != nil {
@@ -234,124 +191,20 @@ func DialPoint(cfg PointConfig) (*PointClient, error) {
 	return c, nil
 }
 
-// connect dials the center, performs the Hello↔Welcome handshake and
-// starts a reader. Callers must not hold c.mu.
+// connect dials the center, performs the Hello↔Welcome handshake, starts a
+// reader and retransmits the uploads buffered while disconnected. Callers
+// must not hold c.mu.
 func (c *PointClient) connect() error {
-	dial := c.cfg.Dial
-	if dial == nil {
-		timeout := effectiveDialTimeout(c.cfg.DialTimeout)
-		dial = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) }
-	}
-	conn, err := dial(c.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("transport: dial center: %w", err)
-	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(Hello{
+	conn, enc, dec, w, err := c.up.open(Hello{
 		Point: c.cfg.Point, Kind: c.cfg.Kind, W: c.cfg.W,
-		StateEpoch: c.Epoch(), Codec: c.ownCodec(),
-		Shard: c.cfg.Shard,
-	}); err != nil {
-		conn.Close()
-		return fmt.Errorf("transport: send hello: %w", err)
+		StateEpoch: c.Epoch(), Shard: c.cfg.Shard,
+	})
+	if err != nil {
+		return err
 	}
-	dec := gob.NewDecoder(conn)
-	var welcome Welcome
-	if err := dec.Decode(&welcome); err != nil {
-		conn.Close()
-		return fmt.Errorf("transport: receive welcome: %w", err)
-	}
-	c.applyWelcome(welcome)
-	done := make(chan struct{})
-	c.mu.Lock()
-	c.conn = conn
-	c.enc = enc
-	c.done = done
-	c.mu.Unlock()
-	c.setErr(nil)
-	go c.readLoop(dec, done)
-	if hb := c.cfg.HeartbeatEvery; hb > 0 {
-		go c.heartbeatLoop(conn, done, hb)
-	}
-	// Retransmit epoch uploads buffered while disconnected, oldest
-	// first, so the center's window stays gap-free.
-	c.mu.Lock()
-	flushErr := c.flushPendingLocked()
-	c.mu.Unlock()
-	return flushErr
-}
-
-// effectiveDialTimeout maps PointConfig.DialTimeout to the bound actually
-// applied to raw TCP dials (default 10s; the config value wins when set).
-func effectiveDialTimeout(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 10 * time.Second
-	}
-	return d
-}
-
-// heartbeatLoop sends liveness probes on one connection until it dies.
-// Probes share the upload encoder under c.mu, so they interleave cleanly
-// with EndEpoch; a probe that fails (connection lost, or the write timed
-// out against a half-open server) stops the loop — the regular error and
-// redial machinery owns recovery.
-func (c *PointClient) heartbeatLoop(conn net.Conn, done chan struct{}, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-t.C:
-		}
-		c.mu.Lock()
-		if c.conn != conn {
-			c.mu.Unlock()
-			return
-		}
-		err := c.encodeLocked(Upload{Point: c.cfg.Point, Epoch: c.eng.epoch(), Heartbeat: true})
-		c.mu.Unlock()
-		if err != nil {
-			if isWedged(err) {
-				c.writeTimeouts.Add(1)
-				_ = conn.Close()
-			}
-			return
-		}
-		c.heartbeatsSent.Add(1)
-	}
-}
-
-// encodeLocked encodes one frame on the live connection, bounded by
-// WriteTimeout when configured. Callers must hold c.mu.
-func (c *PointClient) encodeLocked(v any) error {
-	if wto := c.cfg.WriteTimeout; wto > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(wto))
-		defer c.conn.SetWriteDeadline(time.Time{})
-	}
-	return c.enc.Encode(v)
-}
-
-// applyWelcome resynchronizes the point with the center's view of the
-// cluster: topology for Coverage accounting, the epoch clock after a
-// restart, and — for the cumulative size design — whether the recovery
-// chain at the center can still be extended by replaying the retransmit
-// buffer or needs a rebase upload.
-// ownCodec is the highest payload codec this point advertises.
-func (c *PointClient) ownCodec() int {
-	if c.cfg.forceLegacyCodec {
-		return CodecLegacy
-	}
-	return CodecPacked
-}
-
-func (c *PointClient) applyWelcome(w Welcome) {
-	// Adopt the center's codec choice, never exceeding our own ceiling (a
-	// hostile or buggy center must not push us onto a codec we did not
-	// offer). Old centers leave Welcome.Codec zero = legacy.
-	c.codec.Store(int32(negotiateCodec(w.Codec, c.ownCodec())))
-	advanced := false
+	// Resynchronize the epoch clock with the center's view of the cluster.
 	c.eng.setTopology(w.Points, w.WindowN)
+	advanced := false
 	if w.ResumeEpoch > c.eng.epoch() {
 		c.eng.advanceTo(w.ResumeEpoch)
 		// The window the point held belongs to epochs the cluster has
@@ -360,38 +213,43 @@ func (c *PointClient) applyWelcome(w Welcome) {
 		c.eng.resetWindow()
 		advanced = true
 	}
+	done := make(chan struct{})
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.windowN = w.WindowN
+	c.up.attach(conn, enc, w)
 	c.points = w.Points
-	// Requeue sent history the center no longer has: a center that
-	// restored an old checkpoint reports the PointEpoch it actually holds,
-	// and everything after it must be uploaded again (idempotent at the
-	// center if the restore turns out fresher than advertised).
-	for i := range c.pending {
-		if c.pending[i].sent && c.pending[i].up.Epoch > w.PointEpoch {
-			c.pending[i].sent = false
-			c.pending[i].attempted = true
-		}
+	c.done = done
+	if c.eng.cumulative() && c.chainBrokenLocked(w.PointEpoch, advanced) {
+		c.needRebase = true
 	}
-	if !c.eng.cumulative() {
-		return
+	c.mu.Unlock()
+	c.setErr(nil)
+	go c.readLoop(dec, done)
+	if hb := c.cfg.HeartbeatEvery; hb > 0 {
+		go c.up.heartbeat(&c.mu, conn, done, hb, c.eng.epoch)
 	}
-	// The chain survives the outage only if the next upload the center will
-	// see is exactly PointEpoch+1. A fast-forwarded epoch clock means the
-	// local C never held the chain the center has; an unsent buffer whose
-	// oldest entry is past PointEpoch+1 means epochs were lost.
-	next := w.PointEpoch + 1
+	// Retransmit epoch uploads buffered while disconnected, oldest
+	// first, so the center's window stays gap-free.
+	c.mu.Lock()
+	flushErr := c.up.flush()
+	c.mu.Unlock()
+	return flushErr
+}
+
+// chainBrokenLocked reports whether the cumulative recovery chain at the
+// center can no longer be extended by replaying the retransmit buffer. The
+// chain survives an outage only if the next upload the center will see is
+// exactly PointEpoch+1: a fast-forwarded epoch clock means the local C
+// never held the chain the center has, and an unsent buffer whose oldest
+// entry is past PointEpoch+1 means epochs were lost. Callers hold c.mu.
+func (c *PointClient) chainBrokenLocked(pointEpoch int64, advanced bool) bool {
 	oldest := c.eng.epoch() // next upload's epoch when nothing is buffered
-	for i := range c.pending {
-		if !c.pending[i].sent {
-			oldest = c.pending[i].up.Epoch
+	for _, p := range c.up.pending {
+		if !p.sent {
+			oldest = p.up.Epoch
 			break
 		}
 	}
-	if advanced || oldest > next {
-		c.needRebase = true
-	}
+	return advanced || oldest > pointEpoch+1
 }
 
 // Redial reconnects to the center after a connection failure, preserving
@@ -404,7 +262,7 @@ func (c *PointClient) applyWelcome(w Welcome) {
 // returned if all fail.
 func (c *PointClient) Redial() error {
 	c.mu.Lock()
-	conn, done := c.conn, c.done
+	conn, done := c.up.conn, c.done
 	c.mu.Unlock()
 	_ = conn.Close()
 	<-done
@@ -412,25 +270,11 @@ func (c *PointClient) Redial() error {
 	if attempts < 1 {
 		attempts = 3
 	}
-	backoff := c.cfg.RedialBackoff
-	if backoff <= 0 {
-		backoff = 200 * time.Millisecond
-	}
-	maxBackoff := c.cfg.RedialBackoffMax
-	if maxBackoff <= 0 {
-		maxBackoff = 2 * time.Second
-	}
+	b := c.up.redial
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			// Full jitter over [backoff/2, backoff]: points knocked out by
-			// the same center restart spread their retries instead of
-			// redialing in lockstep.
-			delay := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-			c.sleep(delay)
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
+			c.up.sleep(b.next())
 		}
 		if err = c.connect(); err == nil {
 			return nil
@@ -528,16 +372,13 @@ func (c *PointClient) EndEpoch() error {
 		c.needRebase = false
 		c.mu.Unlock()
 	}
-	// A payload marshaled compact stays valid across a redial downgrade:
-	// decoders dispatch on the sketch magic, so buffered compact uploads
-	// retransmitted on a legacy-negotiated connection still decode.
-	epoch, payload, meta, err := c.eng.endEpoch(rebase, c.codec.Load() >= CodecPacked)
+	epoch, payload, meta, err := c.eng.endEpoch(rebase)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pending = append(c.pending, pendingUpload{up: Upload{
+	c.up.pending = append(c.up.pending, pendingUpload{up: Upload{
 		Point:      c.cfg.Point,
 		Epoch:      epoch,
 		Sketch:     payload,
@@ -545,85 +386,21 @@ func (c *PointClient) EndEpoch() error {
 		EnhApplied: meta.EnhApplied,
 		Rebase:     meta.Rebase,
 	}})
-	c.capPendingLocked()
+	// An unsent upload that falls out of the window breaks the cumulative
+	// size chain, so the next upload after such a drop is a rebase.
+	if c.up.capPending() > 0 && c.eng.cumulative() {
+		c.needRebase = true
+	}
 	// Checkpoint after the upload is buffered and before it is sent:
 	// at-least-once across a crash (the center drops the duplicate
 	// idempotently), never silently lost. Checkpoint failures degrade
 	// durability, not liveness (see LastCheckpointErr).
 	c.saveCheckpointLocked()
 	if err := c.getErr(); err != nil {
-		c.markPendingAttemptedLocked()
+		c.up.markAttempted()
 		return fmt.Errorf("transport: connection failed: %w", err)
 	}
-	return c.flushPendingLocked()
-}
-
-// capPendingLocked bounds the upload buffer (unsent retransmits plus sent
-// history) at one window of epochs. Once the window has slid past an
-// upload, no live ST-join can use it, so retaining more than n epochs only
-// delays memory reclamation without improving recovery. Dropping an
-// UNSENT upload loses a measurement (counted, and it breaks the
-// cumulative size chain, so the next upload after such a drop is a
-// rebase); dropping sent history is free. Callers must hold c.mu.
-func (c *PointClient) capPendingLocked() {
-	capN := c.windowN
-	if capN <= 0 || len(c.pending) <= capN {
-		return
-	}
-	drop := len(c.pending) - capN
-	unsent := 0
-	for _, p := range c.pending[:drop] {
-		if !p.sent {
-			unsent++
-		}
-	}
-	if unsent > 0 {
-		c.uploadsDropped.Add(int64(unsent))
-		if c.eng.cumulative() {
-			c.needRebase = true
-		}
-	}
-	c.pending = append(c.pending[:0], c.pending[drop:]...)
-}
-
-// flushPendingLocked sends the buffer's unsent uploads over the live
-// connection, oldest first, keeping them as sent history afterwards. On an
-// encode failure the remaining unsent uploads stay and are marked
-// attempted. Callers must hold c.mu.
-func (c *PointClient) flushPendingLocked() error {
-	for i := range c.pending {
-		p := &c.pending[i]
-		if p.sent {
-			continue
-		}
-		if err := c.encodeLocked(p.up); err != nil {
-			c.markPendingAttemptedLocked()
-			if isWedged(err) {
-				// The center stopped draining (half-open peer): the encoder
-				// is poisoned mid-frame, so the connection is dead weight.
-				// Close it — the reader unblocks, the upload stays buffered,
-				// and the next Redial retransmits it.
-				c.writeTimeouts.Add(1)
-				_ = c.conn.Close()
-			}
-			return fmt.Errorf("transport: upload epoch %d: %w", p.up.Epoch, err)
-		}
-		if p.attempted {
-			c.uploadsRetried.Add(1)
-		}
-		p.sent = true
-	}
-	return nil
-}
-
-// markPendingAttemptedLocked records that every unsent buffered upload has
-// missed at least one transmission window. Callers must hold c.mu.
-func (c *PointClient) markPendingAttemptedLocked() {
-	for i := range c.pending {
-		if !c.pending[i].sent {
-			c.pending[i].attempted = true
-		}
-	}
+	return c.up.flush()
 }
 
 // Stats returns protocol event counters.
@@ -637,12 +414,12 @@ func (c *PointClient) Stats() PointStats {
 		PushesApplied:      c.pushesApplied.Load(),
 		PushesLate:         c.pushesLate.Load(),
 		PushesDuplicate:    c.pushesDup.Load(),
-		UploadsRetried:     c.uploadsRetried.Load(),
-		UploadsDropped:     c.uploadsDropped.Load(),
+		UploadsRetried:     c.up.retries.Load(),
+		UploadsDropped:     c.up.drops.Load(),
 		BackfillsApplied:   c.backfillsApplied.Load(),
 		CheckpointsWritten: c.checkpoints.Load(),
-		HeartbeatsSent:     c.heartbeatsSent.Load(),
-		WriteTimeouts:      c.writeTimeouts.Load(),
+		HeartbeatsSent:     c.up.heartbeats.Load(),
+		WriteTimeouts:      c.up.writeTimeouts.Load(),
 	}
 }
 
@@ -693,7 +470,7 @@ func (c *PointClient) WaitPushEpoch(e int64, timeout time.Duration) bool {
 // Close drops the connection.
 func (c *PointClient) Close() error {
 	c.mu.Lock()
-	conn, done := c.conn, c.done
+	conn, done := c.up.conn, c.done
 	c.mu.Unlock()
 	err := conn.Close()
 	<-done

@@ -102,7 +102,7 @@ func TestRedialRetransmitsBufferedUploads(t *testing.T) {
 
 	// Kill the connection under the client and wait until it notices.
 	pc.mu.Lock()
-	conn := pc.conn
+	conn := pc.up.conn
 	pc.mu.Unlock()
 	conn.Close()
 	waitFor(t, "failure detected", func() bool { return pc.getErr() != nil })

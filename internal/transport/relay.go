@@ -5,13 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/durable"
 )
 
 // RelayConfig describes one aggregation-tree relay: a mid-level node that
@@ -87,8 +84,6 @@ type RelayConfig struct {
 	// of its children — configure the children's own HeartbeatEvery for
 	// that.
 	HeartbeatEvery time.Duration
-	// forceLegacyCodec pins every hop to CodecLegacy (test hook).
-	forceLegacyCodec bool
 }
 
 // RelayStats counts protocol activity at a relay.
@@ -149,62 +144,37 @@ type RelayStats struct {
 	LastRoundAt   time.Time
 }
 
-// RelayServer is a running aggregation relay.
+// RelayServer is a running aggregation relay. The embedded session serves
+// its children; the uplink carries combined uploads to the parent. One
+// mutex — the session's — guards both halves and the counters below.
 type RelayServer struct {
-	cfg RelayConfig
-	ln  net.Listener
-	eng relayEngine
+	session
+	cfg       RelayConfig
+	eng       relayEngine
+	histRelay *HistoryRelay // nil unless HistoryAddr is set
 
-	ckpt        *durable.Store
-	ckptEvery   int64
-	ckptMu      sync.Mutex
-	restoredGen uint64
-	histRelay   *HistoryRelay // nil unless HistoryAddr is set
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	// conns are the child connections (the relay serves them the same
-	// protocol a center serves points, so pointConn fits).
-	conns map[int]*pointConn
-	// Upstream hop state: nil conn/enc while the hop is down and the
-	// redial loop is working on it.
-	upConn    net.Conn
-	upEnc     *gob.Encoder
-	upCodec   int
+	// up is the upstream hop: nil conn/enc while the hop is down and the
+	// redial loop is working on it. Its retransmit buffer holds the
+	// combined uploads (sent history retained for a window so a center
+	// restored from an old checkpoint can requeue).
+	up        uplink
 	upWelcome Welcome
 	haveUp    bool
 	redialing bool
-	// pending is the upstream retransmit buffer of combined uploads,
-	// mirroring PointClient.pending (sent history retained for a window so
-	// a center restored from an old checkpoint can requeue).
-	pending []pendingUpload
 	// cache holds the last window of upstream pushes at relay width,
 	// keyed by ForEpoch: the source for child re-pushes and backfills. An
 	// upstream IntoCurrent backfill is absorbed here — never forwarded —
 	// because a healthy additive child would double-merge it.
-	cache       map[int64]Push
-	lastPush    int64
-	lastRoundAt time.Time
+	cache map[int64]Push
 
-	uploads, dups       int64
-	forwards, retries   int64
-	drops               int64
-	rounds              int64
-	repushes, backfills int64
-	absorbed            int64
-	updials             int64
-	checkpoints         int64
-	heartbeats          int64
-	hbSent              int64
-	evictions           int64
-	upTimeouts          int64
-	closed              bool
+	uploads, dups int64
+	forwards      int64
+	absorbed      int64
+	updials       int64
 
-	sleep func(time.Duration)
 	// stopCh closes when the relay shuts down, releasing timer-driven
 	// loops (upstream heartbeats) promptly instead of at their next tick.
 	stopCh chan struct{}
-	wg     sync.WaitGroup
 }
 
 // ServeRelay starts an aggregation relay: it connects upstream (the
@@ -214,72 +184,60 @@ func ServeRelay(cfg RelayConfig) (*RelayServer, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
+	if cfg.HistoryAddr != "" && cfg.HistoryUpstreamAddr == "" {
+		return nil, fmt.Errorf("transport: relay HistoryAddr set without HistoryUpstreamAddr")
+	}
 	s := &RelayServer{
-		cfg:    cfg,
-		conns:  make(map[int]*pointConn),
+		session: session{
+			role: "relay", child: "child",
+			kind: cfg.Kind, widths: cfg.Widths, weights: cfg.Weights, shard: cfg.Shard,
+			readTimeout: cfg.ReadTimeout, writeTimeout: cfg.WriteTimeout, logf: cfg.Logf,
+		},
+		cfg: cfg,
+		up: uplink{
+			id:      cfg.Relay,
+			addr:    cfg.UpstreamAddr,
+			dial:    dialer(cfg.UpstreamDial, cfg.DialTimeout),
+			wto:     cfg.WriteTimeout,
+			redial:  newBackoff(cfg.RedialBackoff, cfg.RedialBackoffMax),
+			sleep:   time.Sleep,
+			windowN: cfg.WindowN,
+		},
 		cache:  make(map[int64]Push),
-		sleep:  time.Sleep,
 		stopCh: make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.init(s, cfg.CheckpointEvery)
 	eng, err := newRelayEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.eng = eng
-	s.ckptEvery = int64(cfg.CheckpointEvery)
-	if s.ckptEvery < 1 {
-		s.ckptEvery = 1
-	}
 	if cfg.CheckpointDir != "" {
-		store, err := durable.Open(cfg.CheckpointDir, fmt.Sprintf("relay-%d", cfg.Relay))
-		if err != nil {
-			return nil, fmt.Errorf("transport: open relay checkpoint store: %w", err)
-		}
-		s.ckpt = store
-		sections, gen, err := store.Load()
-		switch {
-		case errors.Is(err, durable.ErrNoCheckpoint):
-		case err != nil:
-			return nil, fmt.Errorf("transport: load relay checkpoint: %w", err)
-		default:
-			if err := s.restoreCheckpoint(sections); err != nil {
-				return nil, fmt.Errorf("transport: restore relay checkpoint (generation %d): %w", gen, err)
-			}
-			s.restoredGen = gen
+		name := fmt.Sprintf("relay-%d", cfg.Relay)
+		if s.ckpt, s.restoredGen, err = openCheckpoint(cfg.CheckpointDir, name, s.restoreCheckpoint); err != nil {
+			return nil, err
 		}
 	}
 	if err := s.connectUpstream(); err != nil {
 		return nil, err
 	}
+	// The upstream hop is live from here on: a later failure must tear it
+	// down through Close, or the orphaned hop would keep this relay
+	// admitted at its parent and, once dropped, redial it forever.
 	if cfg.HistoryAddr != "" {
-		if cfg.HistoryUpstreamAddr == "" {
-			return nil, fmt.Errorf("transport: relay HistoryAddr set without HistoryUpstreamAddr")
-		}
 		hr, err := ServeHistoryRelay(cfg.HistoryAddr, cfg.HistoryUpstreamAddr)
 		if err != nil {
+			_ = s.Close()
 			return nil, err
 		}
 		s.histRelay = hr
 	}
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		if ln, err = net.Listen("tcp", cfg.Addr); err != nil {
-			if s.histRelay != nil {
-				_ = s.histRelay.Close()
-			}
-			return nil, fmt.Errorf("transport: relay listen: %w", err)
-		}
+	if err := s.serve(cfg.Listener, cfg.Addr); err != nil {
+		_ = s.Close()
+		return nil, err
 	}
-	s.ln = ln
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
-
-// Addr returns the bound child-facing listen address.
-func (s *RelayServer) Addr() net.Addr { return s.ln.Addr() }
 
 // Stats returns a snapshot of the relay's counters.
 func (s *RelayServer) Stats() RelayStats {
@@ -287,13 +245,13 @@ func (s *RelayServer) Stats() RelayStats {
 	defer s.mu.Unlock()
 	return RelayStats{
 		ConnectedChildren:     len(s.conns),
-		UpstreamConnected:     s.upEnc != nil,
+		UpstreamConnected:     s.up.enc != nil,
 		UploadsReceived:       s.uploads,
 		UploadsDuplicate:      s.dups,
 		Forwards:              s.forwards,
-		ForwardsRetried:       s.retries,
-		ForwardsDropped:       s.drops,
-		UploadsDropped:        s.drops,
+		ForwardsRetried:       s.up.retries.Load(),
+		ForwardsDropped:       s.up.drops.Load(),
+		UploadsDropped:        s.up.drops.Load(),
 		RoundsForwarded:       s.rounds,
 		Repushes:              s.repushes,
 		Backfills:             s.backfills,
@@ -302,9 +260,9 @@ func (s *RelayServer) Stats() RelayStats {
 		CheckpointsWritten:    s.checkpoints,
 		RestoredGeneration:    s.restoredGen,
 		HeartbeatsReceived:    s.heartbeats,
-		HeartbeatsSent:        s.hbSent,
+		HeartbeatsSent:        s.up.heartbeats.Load(),
 		Evictions:             s.evictions,
-		UpstreamWriteTimeouts: s.upTimeouts,
+		UpstreamWriteTimeouts: s.up.writeTimeouts.Load(),
 		LastPushEpoch:         s.lastPush,
 		LastRoundAt:           s.lastRoundAt,
 	}
@@ -322,96 +280,30 @@ func (s *RelayServer) WaitForwards(n int64) bool {
 	return s.waitCond(func() bool { return s.forwards >= n })
 }
 
-// WaitRounds blocks until at least n upstream push rounds have been fanned
-// to the children, or the relay closes.
-func (s *RelayServer) WaitRounds(n int64) bool {
-	return s.waitCond(func() bool { return s.rounds >= n })
-}
-
-// WaitConnected blocks until exactly n children are connected, or the
-// relay closes.
-func (s *RelayServer) WaitConnected(n int) bool {
-	return s.waitCond(func() bool { return len(s.conns) == n })
-}
-
-// WaitCheckpoints blocks until at least n checkpoints have been written
-// this process lifetime, or the relay closes.
-func (s *RelayServer) WaitCheckpoints(n int64) bool {
-	return s.waitCond(func() bool { return s.checkpoints >= n })
-}
-
 // WaitUpstream blocks until the upstream hop is live (or not, per want),
 // or the relay closes.
 func (s *RelayServer) WaitUpstream(want bool) bool {
-	return s.waitCond(func() bool { return (s.upEnc != nil) == want })
+	return s.waitCond(func() bool { return (s.up.enc != nil) == want })
 }
 
-// WaitPushEpoch blocks until a round with ForEpoch >= e has been received
-// from upstream, the timeout elapses, or the relay closes.
-func (s *RelayServer) WaitPushEpoch(e int64, timeout time.Duration) bool {
-	return s.waitCondFor(timeout, func() bool { return s.lastPush >= e })
-}
-
-// WaitConnectedFor is WaitConnected with a watchdog timeout.
-func (s *RelayServer) WaitConnectedFor(n int, timeout time.Duration) bool {
-	return s.waitCondFor(timeout, func() bool { return len(s.conns) == n })
-}
-
-// WaitHeartbeats blocks until at least n child heartbeats have been
-// accepted, the timeout elapses, or the relay closes.
-func (s *RelayServer) WaitHeartbeats(n int64, timeout time.Duration) bool {
-	return s.waitCondFor(timeout, func() bool { return s.heartbeats >= n })
-}
-
-func (s *RelayServer) waitCond(cond func() bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !cond() && !s.closed {
-		s.cond.Wait()
-	}
-	return cond()
-}
-
-// waitCondFor is waitCond with a deadline (see CenterServer.waitCondFor).
-func (s *RelayServer) waitCondFor(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer timer.Stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !cond() && !s.closed && time.Now().Before(deadline) {
-		s.cond.Wait()
-	}
-	return cond()
-}
-
-// Close stops the relay: the child listener, every child connection and
-// the upstream hop.
+// Close stops the relay: the upstream hop, the child listener and every
+// child connection. It is also the teardown for a ServeRelay that fails
+// after dialing upstream.
 func (s *RelayServer) Close() error {
 	s.mu.Lock()
 	if !s.closed {
 		close(s.stopCh)
 	}
+	// Marking closed before dropping the hop keeps its reader from
+	// starting a redial, and a redial already in flight from installing a
+	// new hop (connectUpstream re-checks under the lock).
 	s.closed = true
-	conns := make([]*pointConn, 0, len(s.conns))
-	for _, pc := range s.conns {
-		conns = append(conns, pc)
-	}
-	up := s.upConn
-	s.cond.Broadcast()
+	up := s.up.conn
 	s.mu.Unlock()
-	err := s.ln.Close()
-	for _, pc := range conns {
-		_ = pc.conn.Close()
-	}
 	if up != nil {
 		_ = up.Close()
 	}
-	s.wg.Wait()
+	err := s.shutdown()
 	if s.histRelay != nil {
 		_ = s.histRelay.Close()
 	}
@@ -427,139 +319,53 @@ func (s *RelayServer) HistoryQueryAddr() net.Addr {
 	return s.histRelay.Addr()
 }
 
-func (s *RelayServer) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// ownCodec is the highest payload codec this relay advertises on both
-// hops. The hops negotiate independently: payloads are re-marshaled at
-// the relay, so a legacy child coexists with a packed upstream.
-func (s *RelayServer) ownCodec() int {
-	if s.cfg.forceLegacyCodec {
-		return CodecLegacy
-	}
-	return CodecPacked
-}
-
 // ---- upstream hop --------------------------------------------------------
 
 // connectUpstream dials the parent, runs the Hello↔Welcome handshake as a
 // weighted point, resynchronizes the forwarding position and retransmits
 // the buffered combined uploads. Callers must not hold s.mu.
 func (s *RelayServer) connectUpstream() error {
-	dial := s.cfg.UpstreamDial
-	if dial == nil {
-		timeout := s.cfg.DialTimeout
-		if timeout <= 0 {
-			timeout = 10 * time.Second
-		}
-		dial = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) }
-	}
-	conn, err := dial(s.cfg.UpstreamAddr)
-	if err != nil {
-		return fmt.Errorf("transport: relay dial upstream: %w", err)
-	}
 	s.mu.Lock()
 	stateEpoch := s.lastPush
 	s.mu.Unlock()
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(Hello{
+	conn, enc, dec, w, err := s.up.open(Hello{
 		Point: s.cfg.Relay, Kind: s.cfg.Kind, W: s.eng.relayWidth(),
-		StateEpoch: stateEpoch, Codec: s.ownCodec(),
-		Weight: s.eng.weight(), Shard: s.cfg.Shard,
-	}); err != nil {
-		conn.Close()
-		return fmt.Errorf("transport: relay send hello: %w", err)
-	}
-	dec := gob.NewDecoder(conn)
-	var welcome Welcome
-	if err := dec.Decode(&welcome); err != nil {
-		conn.Close()
-		return fmt.Errorf("transport: relay receive welcome: %w", err)
+		StateEpoch: stateEpoch, Weight: s.eng.weight(), Shard: s.cfg.Shard,
+	})
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		_ = conn.Close()
+		return net.ErrClosed
+	}
 	// The parent already ingested our combined uploads through PointEpoch:
 	// epochs at or below it must never be rebuilt and re-forwarded (an
 	// additive center would drop them as duplicates anyway; this keeps the
 	// relay from holding dead rounds). Epochs after it that we had marked
-	// sent were lost with the parent's state — requeue them.
-	s.eng.resyncForwarded(welcome.PointEpoch)
-	s.upConn, s.upEnc = conn, enc
-	s.upCodec = negotiateCodec(welcome.Codec, s.ownCodec())
-	s.upWelcome = welcome
-	s.haveUp = true
+	// sent were lost with the parent's state — attach requeues them.
+	s.eng.resyncForwarded(w.PointEpoch)
+	s.up.attach(conn, enc, w)
+	s.upWelcome, s.haveUp = w, true
 	s.updials++
-	for i := range s.pending {
-		if s.pending[i].sent && s.pending[i].up.Epoch > welcome.PointEpoch {
-			s.pending[i].sent = false
-			s.pending[i].attempted = true
-		}
-	}
-	flushErr := s.flushUpstreamLocked()
+	flushErr := s.up.flush()
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.readUpstream(conn, dec)
 	if hb := s.cfg.HeartbeatEvery; hb > 0 {
 		s.wg.Add(1)
-		go s.heartbeatUpstream(conn, hb)
+		go func() {
+			defer s.wg.Done()
+			s.up.heartbeat(&s.mu, conn, s.stopCh, hb, s.eng.forwarded)
+		}()
 	}
 	if flushErr != nil {
 		s.cfg.Logf("transport: relay upstream flush: %v", flushErr)
 	}
 	return nil
-}
-
-// heartbeatUpstream sends liveness probes on one upstream hop until it
-// dies or is replaced, keeping this relay admitted at a parent with a
-// read deadline through stretches where no child completes a round.
-func (s *RelayServer) heartbeatUpstream(conn net.Conn, every time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-t.C:
-		}
-		s.mu.Lock()
-		if s.upConn != conn || s.upEnc == nil {
-			s.mu.Unlock()
-			return
-		}
-		err := s.encodeUpstreamLocked(Upload{
-			Point: s.cfg.Relay, Epoch: s.eng.forwarded(), Heartbeat: true,
-		})
-		if err == nil {
-			s.hbSent++
-		} else if isWedged(err) {
-			s.upTimeouts++
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-		if err != nil {
-			return
-		}
-	}
-}
-
-// encodeUpstreamLocked encodes one frame on the upstream hop, bounded by
-// WriteTimeout when configured. Callers must hold s.mu — which is exactly
-// why the bound exists: an unbounded write here against a parent that
-// stopped reading would wedge every path that takes the relay lock.
-func (s *RelayServer) encodeUpstreamLocked(v any) error {
-	if wto := s.cfg.WriteTimeout; wto > 0 {
-		_ = s.upConn.SetWriteDeadline(time.Now().Add(wto))
-		defer func() {
-			if s.upConn != nil {
-				_ = s.upConn.SetWriteDeadline(time.Time{})
-			}
-		}()
-	}
-	return s.upEnc.Encode(v)
 }
 
 // readUpstream consumes the parent's pushes until the connection dies,
@@ -571,17 +377,14 @@ func (s *RelayServer) readUpstream(conn net.Conn, dec *gob.Decoder) {
 		if err := dec.Decode(&push); err != nil {
 			break
 		}
-		if err := s.handleUpstreamPush(push); err != nil {
-			s.cfg.Logf("transport: relay apply push: %v", err)
-			break
-		}
+		s.handleUpstreamPush(push)
 	}
 	s.mu.Lock()
-	if s.upConn == conn {
-		s.upConn, s.upEnc = nil, nil
+	if s.up.conn == conn {
+		s.up.conn, s.up.enc = nil, nil
 		s.cond.Broadcast()
 	}
-	stale := s.upConn != nil // a newer hop already took over
+	stale := s.up.conn != nil // a newer hop already took over
 	startRedial := !s.closed && !stale && !s.redialing
 	if startRedial {
 		s.redialing = true
@@ -594,8 +397,8 @@ func (s *RelayServer) readUpstream(conn net.Conn, dec *gob.Decoder) {
 	}
 }
 
-// redialUpstream reconnects the upstream hop with jittered exponential
-// backoff until it succeeds or the relay closes.
+// redialUpstream reconnects the upstream hop on the uplink's backoff
+// schedule until it succeeds or the relay closes.
 func (s *RelayServer) redialUpstream() {
 	defer s.wg.Done()
 	defer func() {
@@ -603,23 +406,12 @@ func (s *RelayServer) redialUpstream() {
 		s.redialing = false
 		s.mu.Unlock()
 	}()
-	backoff := s.cfg.RedialBackoff
-	if backoff <= 0 {
-		backoff = 200 * time.Millisecond
-	}
-	maxBackoff := s.cfg.RedialBackoffMax
-	if maxBackoff <= 0 {
-		maxBackoff = 2 * time.Second
-	}
+	b := s.up.redial
 	for !s.isClosed() {
 		if err := s.connectUpstream(); err == nil {
 			return
 		}
-		delay := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		s.sleep(delay)
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
+		s.up.sleep(b.next())
 	}
 }
 
@@ -630,9 +422,9 @@ func (s *RelayServer) redialUpstream() {
 // round when it was pushed live — re-forwarding it would double-merge at
 // every healthy additive child. Children that themselves lost the round
 // get it from the cache through their own backfill handshake.
-func (s *RelayServer) handleUpstreamPush(push Push) error {
+func (s *RelayServer) handleUpstreamPush(push Push) {
+	s.mu.Lock()
 	if push.IntoCurrent {
-		s.mu.Lock()
 		s.cache[push.ForEpoch-1] = Push{
 			ForEpoch:    push.ForEpoch - 1,
 			Aggregate:   push.Aggregate,
@@ -642,9 +434,8 @@ func (s *RelayServer) handleUpstreamPush(push Push) error {
 		s.absorbed++
 		s.cond.Broadcast()
 		s.mu.Unlock()
-		return nil
+		return
 	}
-	s.mu.Lock()
 	s.cache[push.ForEpoch] = push
 	if push.ForEpoch > s.lastPush {
 		s.lastPush = push.ForEpoch
@@ -655,27 +446,9 @@ func (s *RelayServer) handleUpstreamPush(push Push) error {
 			delete(s.cache, e)
 		}
 	}
-	conns := make([]*pointConn, 0, len(s.conns))
-	for _, pc := range s.conns {
-		conns = append(conns, pc)
-	}
-	doCkpt := s.ckpt != nil && (s.rounds+1)%s.ckptEvery == 0
+	doCkpt := s.checkpointDueLocked()
 	s.mu.Unlock()
-	for _, pc := range conns {
-		if err := s.forwardPush(pc, push, false); err != nil {
-			s.cfg.Logf("transport: relay push to child %d: %v", pc.point, err)
-			if isWedged(err) {
-				// The child stopped draining pushes: evict it so the dead
-				// socket cannot stall future rounds; it re-admits through
-				// the resync handshake.
-				_ = pc.conn.Close()
-				s.mu.Lock()
-				s.evictions++
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			}
-		}
-	}
+	s.fanOut(func(child int) (Push, error) { return s.childPush(child, push) })
 	if doCkpt {
 		s.writeCheckpoint()
 	}
@@ -684,227 +457,39 @@ func (s *RelayServer) handleUpstreamPush(push Push) error {
 	s.lastRoundAt = time.Now()
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	return nil
 }
 
-// forwardPush re-encodes a relay-width push for one child (its width, its
-// codec) and sends it. Compression composes exactly along the width
-// chain, so the child receives bit-identically what a flat center would
-// have sent it.
-func (s *RelayServer) forwardPush(pc *pointConn, push Push, intoCurrent bool) error {
-	childW := s.cfg.Widths[pc.point]
+// childPush re-encodes a relay-width push at one child's width.
+// Compression composes exactly along the width chain, so the child
+// receives bit-identically what a flat center would have sent it.
+func (s *RelayServer) childPush(child int, push Push) (Push, error) {
+	childW := s.cfg.Widths[child]
 	out := Push{
 		ForEpoch:    push.ForEpoch,
 		CovMerged:   push.CovMerged,
 		CovExpected: push.CovExpected,
-		IntoCurrent: intoCurrent,
 	}
-	compact := pc.codec >= CodecPacked
 	var err error
 	if len(push.Aggregate) > 0 {
-		if out.Aggregate, err = s.eng.compressFor(push.Aggregate, childW, compact); err != nil {
-			return err
+		if out.Aggregate, err = s.eng.compressFor(push.Aggregate, childW); err != nil {
+			return out, err
 		}
 	}
-	if !intoCurrent && len(push.Enhancement) > 0 {
-		if out.Enhancement, err = s.eng.compressFor(push.Enhancement, childW, compact); err != nil {
-			return err
+	if len(push.Enhancement) > 0 {
+		if out.Enhancement, err = s.eng.compressFor(push.Enhancement, childW); err != nil {
+			return out, err
 		}
 	}
-	return pc.push(out)
-}
-
-// flushUpstreamLocked sends the buffer's unsent combined uploads over the
-// live upstream hop, oldest first. Callers must hold s.mu.
-func (s *RelayServer) flushUpstreamLocked() error {
-	if s.upEnc == nil {
-		return nil
-	}
-	for i := range s.pending {
-		p := &s.pending[i]
-		if p.sent {
-			continue
-		}
-		if err := s.encodeUpstreamLocked(p.up); err != nil {
-			for j := i; j < len(s.pending); j++ {
-				if !s.pending[j].sent {
-					s.pending[j].attempted = true
-				}
-			}
-			if isWedged(err) {
-				// The parent stopped reading mid-window: without the write
-				// deadline this encode would block forever holding s.mu and
-				// wedge the whole relay. Fail the hop over to the redial
-				// loop instead; the upload stays buffered (and is counted
-				// in UploadsDropped only if the outage outlasts the window).
-				s.upTimeouts++
-				_ = s.upConn.Close()
-			}
-			return fmt.Errorf("upload epoch %d: %w", p.up.Epoch, err)
-		}
-		if p.attempted {
-			s.retries++
-		}
-		p.sent = true
-	}
-	return nil
-}
-
-// capPendingLocked bounds the upstream buffer at one window of epochs,
-// like the point client's. Callers must hold s.mu.
-func (s *RelayServer) capPendingLocked() {
-	capN := s.cfg.WindowN
-	if w := s.upWelcome.WindowN; s.haveUp && w > 0 {
-		capN = w
-	}
-	if capN <= 0 || len(s.pending) <= capN {
-		return
-	}
-	drop := len(s.pending) - capN
-	for _, p := range s.pending[:drop] {
-		if !p.sent {
-			s.drops++
-		}
-	}
-	s.pending = append(s.pending[:0], s.pending[drop:]...)
+	return out, nil
 }
 
 // ---- child-facing server -------------------------------------------------
 
-func (s *RelayServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if err := s.handle(conn); err != nil && !s.isClosed() {
-				s.cfg.Logf("transport: relay connection error: %v", err)
-			}
-		}()
-	}
-}
-
-func (s *RelayServer) handle(conn net.Conn) (err error) {
-	defer conn.Close()
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic handling relay connection: %v", r)
-		}
-	}()
-	dec := gob.NewDecoder(conn)
-	var hello Hello
-	if err := s.decodeBounded(conn, dec, &hello); err != nil {
-		return fmt.Errorf("decode hello: %w", err)
-	}
-	wantW, ok := s.cfg.Widths[hello.Point]
-	if !ok || hello.Kind != s.cfg.Kind || hello.W != wantW {
-		return fmt.Errorf("hello mismatch from child %d: %+v", hello.Point, hello)
-	}
-	if hello.Shard != s.cfg.Shard {
-		return fmt.Errorf("child %d dialed shard %d but this relay serves shard %d", hello.Point, hello.Shard, s.cfg.Shard)
-	}
-	if w := normWeight(hello.Weight); w != normWeight(s.cfg.Weights[hello.Point]) {
-		return fmt.Errorf("child %d announced weight %d, topology says %d", hello.Point, w, normWeight(s.cfg.Weights[hello.Point]))
-	}
-	pc := &pointConn{
-		point: hello.Point, conn: conn, enc: gob.NewEncoder(conn),
-		codec: negotiateCodec(hello.Codec, s.ownCodec()),
-		wto:   s.cfg.WriteTimeout,
-	}
-	welcome := s.childWelcome(hello.Point, hello.StateEpoch)
-	welcome.Codec = pc.codec
-	if err := pc.send(welcome); err != nil {
-		return fmt.Errorf("send welcome to child %d: %w", hello.Point, err)
-	}
-	s.mu.Lock()
-	if old, dup := s.conns[hello.Point]; dup {
-		_ = old.conn.Close()
-	}
-	s.conns[hello.Point] = pc
-	lastPush := s.lastPush
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		if s.conns[hello.Point] == pc {
-			delete(s.conns, hello.Point)
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}()
-
-	// Resync the child exactly like a center would: a state-behind child
-	// gets the backfill exchange synthesized from the push cache, anyone
-	// else gets the current round re-pushed.
-	K := welcome.ResumeEpoch
-	if hello.StateEpoch > K {
-		K = hello.StateEpoch
-	}
-	switch {
-	case hello.StateEpoch < K && K > 1:
-		if err := s.backfillChild(pc, K); err != nil {
-			s.cfg.Logf("transport: relay backfill to child %d: %v", hello.Point, err)
-		}
-	case lastPush > 0:
-		if err := s.repushTo(pc, lastPush); err != nil {
-			s.cfg.Logf("transport: relay re-push to child %d: %v", hello.Point, err)
-		} else {
-			s.mu.Lock()
-			s.repushes++
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		}
-	}
-
-	for {
-		var up Upload
-		if err := s.decodeBounded(conn, dec, &up); err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			if isWedged(err) {
-				s.mu.Lock()
-				s.evictions++
-				s.cond.Broadcast()
-				s.mu.Unlock()
-				return fmt.Errorf("evicting child %d: no frame within %v (half-open peer?)", hello.Point, s.cfg.ReadTimeout)
-			}
-			return fmt.Errorf("decode upload: %w", err)
-		}
-		if up.Point != hello.Point {
-			return fmt.Errorf("upload claims child %d on connection of child %d", up.Point, hello.Point)
-		}
-		if up.Heartbeat {
-			s.mu.Lock()
-			s.heartbeats++
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			continue
-		}
-		if err := s.ingestChild(up); err != nil {
-			return err
-		}
-	}
-}
-
-// decodeBounded decodes one child frame under the relay's read deadline
-// (see CenterServer.decodeBounded).
-func (s *RelayServer) decodeBounded(conn net.Conn, dec *gob.Decoder, v any) error {
-	if s.cfg.ReadTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	}
-	return dec.Decode(v)
-}
-
-// childWelcome builds the handshake reply for one child. The cluster
-// shape (window, total leaf count) comes from the upstream Welcome, so
-// every leaf's coverage accounting sees the same cluster a flat
-// deployment would; the epoch clock is the relay's own view, which the
-// upstream resync keeps current.
+// welcome builds the handshake reply for one child. The cluster shape
+// (window, total leaf count) comes from the upstream Welcome, so every
+// leaf's coverage accounting sees the same cluster a flat deployment
+// would; the epoch clock is the relay's own view, which the upstream
+// resync keeps current.
 //
 // The resume epoch is forwarded+1 — the next epoch this relay still
 // needs from every child — NOT the maximum epoch any child has reached.
@@ -926,14 +511,14 @@ func (s *RelayServer) decodeBounded(conn net.Conn, dec *gob.Decoder, v any) erro
 // (core.Relay.Receive) reaches the same floor passively, but only after
 // every child has streamed a full window of fresh epochs; resyncing at
 // the handshake recovers within one epoch instead.
-func (s *RelayServer) childWelcome(child int, stateEpoch int64) Welcome {
+func (s *RelayServer) welcome(h Hello) Welcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	windowN, points := s.cfg.WindowN, s.eng.weight()
 	if s.haveUp {
 		windowN, points = s.upWelcome.WindowN, s.upWelcome.Points
 	}
-	if floor := stateEpoch - int64(windowN) - 1; floor > s.eng.forwarded() {
+	if floor := h.StateEpoch - int64(windowN) - 1; floor > s.eng.forwarded() {
 		s.eng.resyncForwarded(floor)
 	}
 	resume := s.eng.forwarded() + 1
@@ -944,51 +529,29 @@ func (s *RelayServer) childWelcome(child int, stateEpoch int64) Welcome {
 		WindowN:     windowN,
 		Points:      points,
 		ResumeEpoch: resume,
-		PointEpoch:  s.eng.lastEpoch(child),
+		PointEpoch:  s.eng.lastEpoch(h.Point),
 	}
 }
 
-// backfillChild replays the cached K-1 aggregate as an IntoCurrent push
-// and re-pushes round K, mirroring CenterServer.backfillTo from the push
-// cache instead of the window store.
-func (s *RelayServer) backfillChild(pc *pointConn, K int64) error {
-	s.mu.Lock()
-	fill, haveFill := s.cache[K-1]
-	cur, haveCur := s.cache[K]
-	s.mu.Unlock()
-	if haveFill && len(fill.Aggregate) > 0 {
-		fill.ForEpoch = K
-		if err := s.forwardPush(pc, fill, true); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.backfills++
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-	if haveCur {
-		return s.forwardPush(pc, cur, false)
-	}
-	return nil
-}
-
-// repushTo re-sends the cached round forEpoch to one child.
-func (s *RelayServer) repushTo(pc *pointConn, forEpoch int64) error {
+// roundPush builds one child's push for round forEpoch from the push
+// cache; a round that aged out of the cache is skipped.
+func (s *RelayServer) roundPush(child int, forEpoch int64) (Push, bool, error) {
 	s.mu.Lock()
 	push, ok := s.cache[forEpoch]
 	s.mu.Unlock()
 	if !ok {
-		return nil
+		return Push{}, false, nil
 	}
-	return s.forwardPush(pc, push, false)
+	out, err := s.childPush(child, push)
+	return out, true, err
 }
 
-// ingestChild merges one child upload and forwards every round it
-// completes. The merge and the drain are serialized under s.mu: the
-// engine is shared by every child connection, and combined uploads must
-// enter the retransmit buffer in strict epoch order — the additive
-// upstream sequencing depends on it.
-func (s *RelayServer) ingestChild(up Upload) error {
+// ingest merges one child upload and forwards every round it completes.
+// The merge and the drain are serialized under s.mu: the engine is shared
+// by every child connection, and combined uploads must enter the
+// retransmit buffer in strict epoch order — the additive upstream
+// sequencing depends on it.
+func (s *RelayServer) ingest(up Upload) error {
 	s.mu.Lock()
 	rcvErr := s.eng.receiveChild(up)
 	switch {
@@ -1003,11 +566,10 @@ func (s *RelayServer) ingestChild(up Upload) error {
 	default:
 		s.uploads++
 	}
-	compact := s.upCodec >= CodecPacked
 	forwarded := false
 	var flushErr error
 	for {
-		epoch, payload, ok, err := s.eng.nextReady(compact)
+		epoch, payload, ok, err := s.eng.nextReady()
 		if err != nil {
 			s.mu.Unlock()
 			return err
@@ -1015,7 +577,7 @@ func (s *RelayServer) ingestChild(up Upload) error {
 		if !ok {
 			break
 		}
-		s.pending = append(s.pending, pendingUpload{up: Upload{
+		s.up.pending = append(s.up.pending, pendingUpload{up: Upload{
 			Point:  s.cfg.Relay,
 			Epoch:  epoch,
 			Sketch: payload,
@@ -1024,8 +586,8 @@ func (s *RelayServer) ingestChild(up Upload) error {
 		forwarded = true
 	}
 	if forwarded {
-		s.capPendingLocked()
-		flushErr = s.flushUpstreamLocked()
+		s.up.capPending()
+		flushErr = s.up.flush()
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()

@@ -18,14 +18,14 @@ type relayEngine interface {
 	// combined round (core.Relay.Receive semantics, including the
 	// idempotent ErrDuplicateUpload drop).
 	receiveChild(up Upload) error
-	// nextReady pops the next combined upload ready to travel upstream,
-	// marshaled under the negotiated codec; ok=false when the next epoch's
-	// round is still missing children. Call in a loop.
-	nextReady(compact bool) (epoch int64, payload []byte, ok bool, err error)
+	// nextReady pops the next combined upload ready to travel upstream;
+	// ok=false when the next epoch's round is still missing children. Call
+	// in a loop.
+	nextReady() (epoch int64, payload []byte, ok bool, err error)
 	// compressFor re-encodes a relay-width push payload at a child's width
-	// and codec (the expand-and-compress chain's downward leg; compression
-	// composes exactly along divisibility chains of widths).
-	compressFor(data []byte, childW int, compact bool) ([]byte, error)
+	// (the expand-and-compress chain's downward leg; compression composes
+	// exactly along divisibility chains of widths).
+	compressFor(data []byte, childW int) ([]byte, error)
 	relayWidth() int
 	weight() int
 	lastEpoch(child int) int64
@@ -38,7 +38,7 @@ type relayEngine interface {
 
 // engineRelay is the single relay-engine implementation, generic over the
 // epoch sketch.
-type engineRelay[S core.Sketch[S]] struct {
+type engineRelay[S wireSketch[S]] struct {
 	rel *core.Relay[S]
 	dec func([]byte) (S, error)
 }
@@ -51,16 +51,16 @@ func (e *engineRelay[S]) receiveChild(up Upload) error {
 	return e.rel.Receive(up.Point, up.Epoch, sk)
 }
 
-func (e *engineRelay[S]) nextReady(compact bool) (int64, []byte, bool, error) {
+func (e *engineRelay[S]) nextReady() (int64, []byte, bool, error) {
 	epoch, combined, ok := e.rel.Next()
 	if !ok {
 		return 0, nil, false, nil
 	}
-	data, err := marshalSketch(combined, compact)
+	data, err := combined.MarshalBinaryCompact()
 	return epoch, data, true, err
 }
 
-func (e *engineRelay[S]) compressFor(data []byte, childW int, compact bool) ([]byte, error) {
+func (e *engineRelay[S]) compressFor(data []byte, childW int) ([]byte, error) {
 	sk, err := e.dec(data)
 	if err != nil {
 		return nil, err
@@ -69,7 +69,7 @@ func (e *engineRelay[S]) compressFor(data []byte, childW int, compact bool) ([]b
 	if err != nil {
 		return nil, err
 	}
-	return marshalSketch(out, compact)
+	return out.MarshalBinaryCompact()
 }
 
 func (e *engineRelay[S]) relayWidth() int             { return e.rel.Width() }
@@ -80,7 +80,7 @@ func (e *engineRelay[S]) forwarded() int64            { return e.rel.Forwarded()
 func (e *engineRelay[S]) resyncForwarded(epoch int64) { e.rel.ResyncForwarded(epoch) }
 
 func (e *engineRelay[S]) exportState() (*core.RelayState, error) {
-	return e.rel.ExportState(func(sk S) ([]byte, error) { return marshalSketch(sk, true) })
+	return e.rel.ExportState(func(sk S) ([]byte, error) { return sk.MarshalBinaryCompact() })
 }
 
 func (e *engineRelay[S]) importState(st *core.RelayState) error {

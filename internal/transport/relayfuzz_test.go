@@ -9,10 +9,10 @@ import (
 )
 
 // fuzzRelaySeeds are the committed child-stream inputs for FuzzRelayConn:
-// well-formed child handshakes and uploads under BOTH sketch codecs (a
-// relay decodes whatever each child negotiated, so the merge path must
-// take legacy and packed payloads interleaved), plus truncated, corrupted
-// and hostile variants.
+// child handshakes and uploads carrying both sketch encodings (decoders
+// dispatch on the sketch magic, so the merge path must take fixed and
+// compact payloads interleaved), plus truncated, corrupted and hostile
+// variants. Handshakes without the packed codec are refused.
 func fuzzRelaySeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	helloOK := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16})
 	helloPacked := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16, Codec: CodecPacked})
@@ -97,7 +97,7 @@ func FuzzRelayConn(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer probe.Close()
-		if err := gob.NewEncoder(probe).Encode(Hello{Point: 1, Kind: KindSize, W: 16}); err != nil {
+		if err := gob.NewEncoder(probe).Encode(Hello{Point: 1, Kind: KindSize, W: 16, Codec: CodecPacked}); err != nil {
 			t.Fatalf("probe hello: %v", err)
 		}
 		var w Welcome

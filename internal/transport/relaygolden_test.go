@@ -7,18 +7,19 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/countmin"
+	"repro/internal/rskt"
 	"repro/internal/vhll"
 )
 
 // The relay's upstream frames are wire-compatibility surface exactly like
-// the point messages: a tree deployment mixes relay and point binaries
-// against one center, so the combined Upload a relay emits for a
-// completed round — the merged child sketches under the negotiated codec
-// — must stay byte-stable. These goldens drive the real merge engine
-// with fixed child uploads (one legacy-codec child, one packed, since a
-// relay decodes whatever each child negotiated) and pin the resulting
-// frames for every backend × upstream codec, plus the relay-shaped Hello
-// whose Weight and Shard fields older centers must keep tolerating.
+// the point messages: the combined Upload a relay emits for a completed
+// round — the merged child sketches — must stay byte-stable. These
+// goldens drive the real merge engine with fixed child uploads (one
+// fixed-encoded child payload, one compact, since sketch decoders accept
+// both) and pin the resulting frame for every backend: the packed payload
+// the relay ships, and the same merged sketch under its fixed encoding
+// (the sketch packages' MarshalBinary), plus the relay-shaped Hello.
 
 func fuzzVhllSketchBytes(t interface{ Fatal(args ...any) }, compact bool) []byte {
 	sk, err := vhll.New(vhll.Params{PhysicalRegisters: 16, VirtualRegisters: 4, Seed: 5})
@@ -85,13 +86,46 @@ func relayGoldenFrames(t *testing.T) map[string]any {
 				t.Fatalf("%s: child %d: %v", tc.name, child, err)
 			}
 		}
-		epoch, payload, ok, err := eng.nextReady(tc.compact)
+		epoch, payload, ok, err := eng.nextReady()
 		if err != nil || !ok {
 			t.Fatalf("%s: nextReady ok=%v err=%v", tc.name, ok, err)
+		}
+		if !tc.compact {
+			payload = fixedEncoding(t, tc.kind, tc.sketch, payload)
 		}
 		frames[tc.name] = Upload{Point: 7, Epoch: epoch, Sketch: payload}
 	}
 	return frames
+}
+
+// fixedEncoding re-encodes a compact sketch payload under the sketch's
+// fixed binary encoding. The codecs are lossless, so the bytes equal the
+// fixed encoding of the sketch that produced the payload.
+func fixedEncoding(t *testing.T, kind Kind, sketch string, payload []byte) []byte {
+	t.Helper()
+	var b []byte
+	var err error
+	switch {
+	case sketch == SketchVhll:
+		var sk *vhll.Sketch
+		if sk, err = decodeVhll(payload); err == nil {
+			b, err = sk.MarshalBinary()
+		}
+	case kind == KindSpread:
+		var sk *rskt.Sketch
+		if sk, err = decodeRskt(payload); err == nil {
+			b, err = sk.MarshalBinary()
+		}
+	default:
+		var sk *countmin.Sketch
+		if sk, err = decodeCountMin(payload); err == nil {
+			b, err = sk.MarshalBinary()
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestGoldenRelayFrames(t *testing.T) {

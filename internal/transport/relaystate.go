@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/core"
@@ -44,7 +42,7 @@ type relayPendingUpload struct {
 }
 
 // writeCheckpoint exports the relay's state and saves it as a new durable
-// generation. Failures are logged, not fatal, exactly like the center's.
+// generation (see session.saveCheckpoint).
 func (s *RelayServer) writeCheckpoint() {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -72,42 +70,21 @@ func (s *RelayServer) writeCheckpoint() {
 	for e, p := range s.cache {
 		ck.Cache[e] = p
 	}
-	ck.Pending = make([]relayPendingUpload, len(s.pending))
-	for i, p := range s.pending {
+	ck.Pending = make([]relayPendingUpload, len(s.up.pending))
+	for i, p := range s.up.pending {
 		ck.Pending[i] = relayPendingUpload{Up: p.up, Attempted: p.attempted, Sent: p.sent}
 	}
 	s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		s.cfg.Logf("transport: encode relay checkpoint: %v", err)
-		return
-	}
-	if err := s.ckpt.Save([]durable.Section{{Name: "relay", Data: buf.Bytes()}}); err != nil {
-		s.cfg.Logf("transport: write relay checkpoint: %v", err)
-		return
-	}
-	s.mu.Lock()
-	s.checkpoints++
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.saveCheckpoint(ck)
 }
 
 // restoreCheckpoint replaces the relay's fresh state with a loaded
 // checkpoint, after verifying it was written under the same topology.
 // Called from ServeRelay before the upstream hop or the listener exist.
 func (s *RelayServer) restoreCheckpoint(sections []durable.Section) error {
-	var data []byte
-	for _, sec := range sections {
-		if sec.Name == "relay" {
-			data = sec.Data
-		}
-	}
-	if data == nil {
-		return fmt.Errorf("checkpoint has no relay section")
-	}
 	var ck relayCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
-		return fmt.Errorf("decode: %w", err)
+	if err := s.loadSection(sections, &ck); err != nil {
+		return err
 	}
 	if ck.Kind != s.cfg.Kind || ck.WindowN != s.cfg.WindowN || ck.Seed != s.cfg.Seed {
 		return fmt.Errorf("checkpoint topology (%s, n=%d, seed=%d) does not match the configured (%s, n=%d, seed=%d)",
@@ -121,17 +98,8 @@ func (s *RelayServer) restoreCheckpoint(sections []durable.Section) error {
 		return fmt.Errorf("checkpoint is for relay %d shard %d, configured relay %d shard %d",
 			ck.Relay, ck.Shard, s.cfg.Relay, s.cfg.Shard)
 	}
-	if len(ck.Widths) != len(s.cfg.Widths) {
-		return fmt.Errorf("checkpoint has %d children, configured %d", len(ck.Widths), len(s.cfg.Widths))
-	}
-	for id, w := range s.cfg.Widths {
-		if ck.Widths[id] != w {
-			return fmt.Errorf("checkpoint width %d for child %d, configured %d", ck.Widths[id], id, w)
-		}
-		if normWeight(ck.Weights[id]) != normWeight(s.cfg.Weights[id]) {
-			return fmt.Errorf("checkpoint weight %d for child %d, configured %d",
-				normWeight(ck.Weights[id]), id, normWeight(s.cfg.Weights[id]))
-		}
+	if err := checkTopology(ck.Widths, ck.Weights, s.cfg.Widths, s.cfg.Weights); err != nil {
+		return err
 	}
 	if ck.State != nil {
 		if err := s.eng.importState(ck.State); err != nil {
@@ -144,9 +112,9 @@ func (s *RelayServer) restoreCheckpoint(sections []durable.Section) error {
 	for e, p := range ck.Cache {
 		s.cache[e] = p
 	}
-	s.pending = make([]pendingUpload, len(ck.Pending))
+	s.up.pending = make([]pendingUpload, len(ck.Pending))
 	for i, p := range ck.Pending {
-		s.pending[i] = pendingUpload{up: p.Up, attempted: p.Attempted, sent: p.Sent}
+		s.up.pending[i] = pendingUpload{up: p.Up, attempted: p.Attempted, sent: p.Sent}
 	}
 	s.mu.Unlock()
 	return nil

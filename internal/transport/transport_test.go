@@ -205,26 +205,6 @@ func TestServeCenterRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestHelloMismatchDropsConnection(t *testing.T) {
-	srv, err := ServeCenter(CenterConfig{
-		Addr: "127.0.0.1:0", Kind: KindSize, WindowN: 5,
-		Widths: map[int]int{0: 64}, D: 4, Seed: 1, Logf: quietLogf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	// Wrong width: the center drops the connection without sending a
-	// Welcome, so the handshake fails at dial time.
-	pc, err := DialPoint(PointConfig{
-		Addr: srv.Addr().String(), Point: 0, Kind: KindSize, W: 128, D: 4, Seed: 1,
-	})
-	if err == nil {
-		pc.Close()
-		t.Fatal("expected dial to fail on hello mismatch")
-	}
-}
-
 func TestQueryRPCRoundTrip(t *testing.T) {
 	srv, err := ServeQueries("127.0.0.1:0", func(flow uint64) float64 {
 		return float64(flow) * 2
