@@ -451,8 +451,8 @@ func (s *CenterServer) welcome(h Hello) Welcome {
 
 // roundPush builds one point's push for round forEpoch from the window
 // store, stamped with the aggregate's window coverage.
-func (s *CenterServer) roundPush(point int, forEpoch int64) (Push, bool, error) {
-	push, err := s.eng.buildPush(point, forEpoch, s.cfg.Enhance)
+func (s *CenterServer) roundPush(point int, forEpoch int64, aggOnly bool) (Push, bool, error) {
+	push, err := s.eng.buildPush(point, forEpoch, s.cfg.Enhance && !aggOnly)
 	return push, true, err
 }
 

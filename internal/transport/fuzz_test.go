@@ -91,8 +91,8 @@ func fuzzSizeSketchBytesCompact(t interface{ Fatal(args ...any) }) []byte {
 // fuzzCenterSeeds are the committed protocol-shaped inputs for
 // FuzzCenterConn: handshakes and uploads plus their truncated and
 // corrupted variants. The early seeds predate the codec check (their Hello
-// carries no codec and is refused at the handshake); the packed ones after
-// them reach the upload path.
+// carries no codec and is refused at the handshake); the packed copies
+// after them reach the upload path.
 func fuzzCenterSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	helloOK := fuzzGob(t, Hello{Point: 0, Kind: KindSize, W: 16})
 	helloPacked := Hello{Point: 0, Kind: KindSize, W: 16, Codec: CodecPacked}
@@ -105,6 +105,10 @@ func fuzzCenterSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	if len(corrupt) > 4 {
 		corrupt[len(corrupt)/2] ^= 0xFF
 	}
+	uploadPacked := fuzzGob(t, helloPacked,
+		Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytesCompact(t), AggApplied: false})
+	corruptPacked := append([]byte(nil), uploadPacked...)
+	corruptPacked[len(corruptPacked)*3/4] ^= 0xFF
 	return [][]byte{
 		{},
 		helloOK,
@@ -115,17 +119,21 @@ func fuzzCenterSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 		corrupt,
 		bytes.Repeat([]byte{0xFF}, 64),
 		fuzzGob(t, helloPacked),
-		fuzzGob(t, helloPacked,
-			Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytesCompact(t), AggApplied: false}),
+		uploadPacked,
 		fuzzGob(t, helloPacked, Upload{Point: 0, Epoch: 1, Heartbeat: true},
 			Upload{Point: 0, Epoch: 1, Sketch: []byte{0xC3, 0xFF, 0xFF, 0xFF, 0xFF}}),
+		fuzzGob(t, helloPacked, Upload{Point: 0, Epoch: 1, Sketch: []byte{0xC3, 0xFF, 0xFF, 0xFF, 0xFF}}),
+		fuzzGob(t, helloPacked, Upload{Point: 1, Epoch: 1, Sketch: fuzzSizeSketchBytesCompact(t)}),
+		fuzzGob(t, helloPacked, Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)}),
+		corruptPacked,
 	}
 }
 
 // fuzzPointSeeds are the committed center→point stream inputs for
 // FuzzPointConn: a Welcome followed by pushes, plus hostile variants. As
 // for the center, the early seeds' Welcome predates the codec check; the
-// packed ones after them reach the push path.
+// packed copies after them reach the Welcome handling (topology, window
+// resync) and the push path.
 func fuzzPointSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	welcome := Welcome{WindowN: 5, Points: 2, ResumeEpoch: 1}
 	packed := Welcome{WindowN: 5, Points: 2, ResumeEpoch: 1, Codec: CodecPacked}
@@ -134,6 +142,8 @@ func fuzzPointSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	badAgg := fuzzGob(t, welcome, Push{ForEpoch: 1, Aggregate: []byte{0xA7, 0x00}})
 	resync := fuzzGob(t, Welcome{WindowN: 5, Points: 2, ResumeEpoch: 9, PointEpoch: 3})
 	hostile := fuzzGob(t, Welcome{WindowN: -3, Points: -1, ResumeEpoch: -7, PointEpoch: 1 << 50})
+	pushPacked := fuzzGob(t, packed,
+		Push{ForEpoch: 1, Aggregate: fuzzSpreadSketchBytesCompact(t), CovMerged: 3, CovExpected: 6})
 	return [][]byte{
 		{},
 		fuzzGob(t, welcome),
@@ -143,9 +153,11 @@ func fuzzPointSeeds(t interface{ Fatal(args ...any) }) [][]byte {
 		resync,
 		hostile,
 		bytes.Repeat([]byte{0xA7}, 48),
-		fuzzGob(t, packed,
-			Push{ForEpoch: 1, Aggregate: fuzzSpreadSketchBytesCompact(t), CovMerged: 3, CovExpected: 6}),
+		pushPacked,
 		fuzzGob(t, packed, Push{ForEpoch: 1, Aggregate: []byte{0xA7, 0x00}}),
+		pushPacked[:len(pushPacked)-3],
+		fuzzGob(t, Welcome{WindowN: 5, Points: 2, ResumeEpoch: 9, PointEpoch: 3, Codec: CodecPacked}),
+		fuzzGob(t, Welcome{WindowN: -3, Points: -1, ResumeEpoch: -7, PointEpoch: 1 << 50, Codec: CodecPacked}),
 	}
 }
 

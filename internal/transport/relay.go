@@ -535,12 +535,15 @@ func (s *RelayServer) welcome(h Hello) Welcome {
 
 // roundPush builds one child's push for round forEpoch from the push
 // cache; a round that aged out of the cache is skipped.
-func (s *RelayServer) roundPush(child int, forEpoch int64) (Push, bool, error) {
+func (s *RelayServer) roundPush(child int, forEpoch int64, aggOnly bool) (Push, bool, error) {
 	s.mu.Lock()
 	push, ok := s.cache[forEpoch]
 	s.mu.Unlock()
 	if !ok {
 		return Push{}, false, nil
+	}
+	if aggOnly {
+		push.Enhancement = nil
 	}
 	out, err := s.childPush(child, push)
 	return out, true, err

@@ -33,6 +33,9 @@ func fuzzRelaySeeds(t interface{ Fatal(args ...any) }) [][]byte {
 	if len(corrupt) > 4 {
 		corrupt[len(corrupt)/2] ^= 0xFF
 	}
+	packed := Hello{Point: 0, Kind: KindSize, W: 16, Codec: CodecPacked}
+	corruptPacked := append([]byte(nil), uploadPacked...)
+	corruptPacked[len(corruptPacked)*3/4] ^= 0xFF
 	return [][]byte{
 		{},
 		helloOK,
@@ -47,6 +50,15 @@ func fuzzRelaySeeds(t interface{ Fatal(args ...any) }) [][]byte {
 		wrongKind,
 		corrupt,
 		bytes.Repeat([]byte{0xFF}, 64),
+		// Packed copies of the upload seeds above, which the codec check
+		// now stops at the handshake.
+		fuzzGob(t, packed, Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)}),
+		fuzzGob(t, packed,
+			Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)},
+			Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytesCompact(t)}),
+		fuzzGob(t, packed, Upload{Point: 0, Epoch: 1, Sketch: []byte{0xC3, 0xFF, 0xFF, 0xFF, 0xFF}}),
+		fuzzGob(t, packed, Upload{Point: 0, Epoch: 1 << 50, Sketch: fuzzSizeSketchBytes(t)}),
+		corruptPacked,
 	}
 }
 

@@ -28,8 +28,9 @@ type sessionHost interface {
 	welcome(h Hello) Welcome
 	// roundPush builds one child's push for round forEpoch from the
 	// server's resync source — the center's window store, a relay's push
-	// cache. ok=false when the source no longer holds the round.
-	roundPush(child int, forEpoch int64) (p Push, ok bool, err error)
+	// cache. ok=false when the source no longer holds the round. With
+	// aggOnly the enhancement is neither built nor sent.
+	roundPush(child int, forEpoch int64, aggOnly bool) (p Push, ok bool, err error)
 	// ingest consumes one measurement upload from a child. It runs on the
 	// child's connection goroutine without the session lock; a returned
 	// error drops the connection.
@@ -331,7 +332,7 @@ func (s *session) decodeFrame(conn net.Conn, dec *gob.Decoder, v any) error {
 // sendRound sends one child its push for round forEpoch from the host's
 // resync source; a round the source no longer holds is skipped.
 func (s *session) sendRound(pc *pointConn, forEpoch int64) error {
-	push, ok, err := s.host.roundPush(pc.point, forEpoch)
+	push, ok, err := s.host.roundPush(pc.point, forEpoch, false)
 	if err != nil || !ok {
 		return err
 	}
@@ -346,16 +347,15 @@ func (s *session) sendRound(pc *pointConn, forEpoch int64) error {
 // the regular staged push for K, so the child's next epoch boundary
 // proceeds as if it had never been away.
 func (s *session) backfill(pc *pointConn, K int64) error {
-	fill, ok, err := s.host.roundPush(pc.point, K-1)
+	// The K-1 enhancement targets an epoch the child no longer holds; the
+	// aggregate already covers its span, so only the aggregate is built.
+	fill, ok, err := s.host.roundPush(pc.point, K-1, true)
 	if err != nil {
 		return err
 	}
 	if ok && len(fill.Aggregate) > 0 {
 		fill.ForEpoch = K
 		fill.IntoCurrent = true
-		// The K-1 enhancement targets an epoch the child no longer holds;
-		// the aggregate already covers its span.
-		fill.Enhancement = nil
 		if err := pc.send(fill); err != nil {
 			return err
 		}
