@@ -50,8 +50,8 @@ func fuzzRelaySeeds(t interface{ Fatal(args ...any) }) [][]byte {
 		wrongKind,
 		corrupt,
 		bytes.Repeat([]byte{0xFF}, 64),
-		// Packed copies of the upload seeds above, which the codec check
-		// now stops at the handshake.
+		// Packed copies of the upload seeds above, whose codec-less Hello
+		// is refused before any upload is read.
 		fuzzGob(t, packed, Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)}),
 		fuzzGob(t, packed,
 			Upload{Point: 0, Epoch: 1, Sketch: fuzzSizeSketchBytes(t)},
