@@ -120,13 +120,15 @@ bench:
 		$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) < bench.txt
 
 # Sub-minute advisory pass over the hot-path microbenches (record, batch,
-# query, upload codec, epoch boundary); writes bench_short.json. Fixed
+# query, upload codec, epoch boundary, and the center's epoch round at
+# p = 8/32/128); writes bench_short.json. Fixed
 # iteration counts keep it fast — the numbers are advisory (compare with
 # `make bench-diff`), the gate is only that every benchmark still runs.
 bench-short:
 	$(GO) test -run '^$$' \
 		-bench '^Benchmark(Table2Record|ThroughputParallel|Table1Query(Two|Three)SketchLocal|Upload(Spread|Size)|EpochBoundary)' \
 		-benchtime=1000x . | tee bench_short.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkCenterRound$$' -benchtime=20x ./internal/core | tee -a bench_short.txt
 	$(GO) run ./cmd/benchjson -o bench_short.json < bench_short.txt
 
 # Parallel-ingest scaling gate: runs the per-core pipeline benchmarks at

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/vhll"
 )
 
 func TestReplayTraceDrivesEpochs(t *testing.T) {
@@ -103,8 +105,10 @@ func TestReplayTraceMissingFile(t *testing.T) {
 }
 
 // TestReplayTraceVhllBackend drives the binary's trace-replay path with
-// the vHLL spread backend on both sides (-sketch vhll) and checks the
-// point answers networkwide queries afterwards.
+// the vHLL spread backend on both sides (-sketch vhll). Each epoch close
+// waits for the round's push, so the final query target holds epoch 3
+// plus the aggregate of epochs 1-2: the answer must equal an ideal vHLL
+// over all 600 elements bit for bit, at full coverage (Thm 6.1).
 func TestReplayTraceVhllBackend(t *testing.T) {
 	const (
 		n, w, m = 5, 256, 64
@@ -159,20 +163,37 @@ func TestReplayTraceVhllBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := replayTrace(pc, path, 0, 6*time.Second, func(uint64) bool { return true }, pc.EndEpoch, func() {}); err != nil {
+	endEpoch := func() error {
+		if err := pc.EndEpoch(); err != nil {
+			return err
+		}
+		if !pc.WaitPushEpoch(pc.Epoch(), 10*time.Second) {
+			return fmt.Errorf("no push for epoch %d", pc.Epoch())
+		}
+		return nil
+	}
+	if err := replayTrace(pc, path, 0, 6*time.Second, func(uint64) bool { return true }, endEpoch, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	if pc.Epoch() != 4 {
 		t.Fatalf("point epoch = %d, want 4", pc.Epoch())
 	}
-	// Epoch 3's 200 distinct elements are in the local current epoch; the
-	// estimate must land near them.
-	got, err := pc.QuerySpread(7)
+	ideal, err := vhll.New(vhll.Params{PhysicalRegisters: w, VirtualRegisters: m, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got < 100 || got > 400 {
-		t.Fatalf("vhll networkwide spread(7) = %.0f, want ~200", got)
+	for e := uint64(0); e < 600; e++ {
+		ideal.Record(7, e)
+	}
+	got, cov, err := pc.QuerySpreadWithCoverage(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ideal.Estimate(7); got != want {
+		t.Fatalf("vhll networkwide spread(7) = %.4f, want ideal %.4f", got, want)
+	}
+	if !cov.Full() || cov.EpochsExpected == 0 {
+		t.Fatalf("coverage %+v, want full", cov)
 	}
 }
 

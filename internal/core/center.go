@@ -7,7 +7,8 @@ import (
 
 // The generic measurement center: the single implementation of the
 // center-side epoch engine — upload ingestion, the spatio-temporal join
-// (eq. (5)), enhancement, coverage accounting and window trimming.
+// (eq. (5), folded per epoch as uploads arrive; see join.go),
+// enhancement, coverage accounting and window trimming.
 // SpreadCenter and SizeCenter are thin instantiations; the differences
 // between the designs hang off EngineConfig:
 //
@@ -34,6 +35,16 @@ type Center[S Sketch[S]] struct {
 	// B sketch for a delta-mode max design, the recovered delta for the
 	// size design. Old epochs are trimmed once outside every window.
 	uploads map[int]map[int64]S
+	// parts[epoch] is the epoch's spatial join at wMax over every stored
+	// measurement, folded in when ReceiveMeta stores it, with its
+	// coverage share. It is derived from uploads: trimmed at the same
+	// floor and rebuilt by ImportState.
+	parts map[int64]*epochPartial[S]
+	// win memoizes the last window join over parts (see windowLocked).
+	win windowMemo[S]
+	// trimFloor is the highest trim floor applied so far; trimLocked
+	// walks the stores only when it rises, about once per epoch.
+	trimFloor int64
 	// sentAgg[point][epoch] is the aggregate pushed to point during that
 	// epoch, exactly as sent (customized width); additive designs need it
 	// to invert cumulative uploads and to re-push idempotently.
@@ -116,6 +127,7 @@ func NewCenter[S Sketch[S]](windowN int, protos map[int]S, cfg EngineConfig[S]) 
 		protos:    make(map[int]S, len(protos)),
 		wMax:      wMax,
 		uploads:   make(map[int]map[int64]S, len(protos)),
+		parts:     make(map[int64]*epochPartial[S]),
 		lastEpoch: make(map[int]int64, len(protos)),
 	}
 	if cfg.Additive {
@@ -151,10 +163,19 @@ func (c *Center[S]) SetWeight(point, weight int) {
 	if c.weights == nil {
 		c.weights = make(map[int]int, len(c.protos))
 	}
-	if c.weightLocked(point) != weight {
-		c.topoGen++
+	old := c.weightLocked(point)
+	if old == weight {
+		return
 	}
+	c.topoGen++
 	c.weights[point] = weight
+	// Rescale the point's coverage share in every partial it reached.
+	for e, p := range c.parts {
+		if _, ok := c.uploads[point][e]; ok {
+			p.merged += weight - old
+		}
+	}
+	c.win = windowMemo[S]{}
 }
 
 // EnableReplayCache attaches a replay cache with the given byte budget
@@ -219,6 +240,10 @@ func (c *Center[S]) Weight(point int) int {
 func (c *Center[S]) TotalWeight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.totalWeightLocked()
+}
+
+func (c *Center[S]) totalWeightLocked() int {
 	total := 0
 	for id := range c.protos {
 		total += c.weightLocked(id)
@@ -264,12 +289,7 @@ func (c *Center[S]) ReceiveMeta(point int, epoch int64, upload S, meta UploadMet
 		}
 		// Stored without cloning: re-merging a max sketch is idempotent, so
 		// the center may alias the caller's (ownership-transferred) upload.
-		per[epoch] = upload
-		if epoch > c.lastEpoch[point] {
-			c.lastEpoch[point] = epoch
-		}
-		c.trimLocked(c.lastEpoch[point])
-		return nil
+		return c.storeLocked(point, epoch, upload)
 	}
 	last := c.lastEpoch[point]
 	if epoch <= last {
@@ -327,9 +347,34 @@ func (c *Center[S]) ReceiveMeta(point int, epoch int64, upload S, meta UploadMet
 			}
 		}
 	}
-	per[epoch] = delta
-	c.lastEpoch[point] = epoch
-	c.trimLocked(epoch)
+	return c.storeLocked(point, epoch, delta)
+}
+
+// storeLocked stores point's measurement for epoch, folds it into the
+// epoch's partial, advances the point's sequence position and trims.
+func (c *Center[S]) storeLocked(point int, epoch int64, sk S) error {
+	if err := c.foldLocked(c.parts, point, epoch, sk); err != nil {
+		return err
+	}
+	c.uploads[point][epoch] = sk
+	c.win = windowMemo[S]{}
+	if epoch > c.lastEpoch[point] {
+		c.lastEpoch[point] = epoch
+	}
+	c.trimLocked(c.lastEpoch[point])
+	return nil
+}
+
+// foldLocked adds point's measurement for epoch to parts[epoch].
+func (c *Center[S]) foldLocked(parts map[int64]*epochPartial[S], point int, epoch int64, sk S) error {
+	p := parts[epoch]
+	if p == nil {
+		p = &epochPartial[S]{}
+		parts[epoch] = p
+	}
+	if err := p.add(sk, c.weightLocked(point), c.wMax); err != nil {
+		return fmt.Errorf("core: join point %d epoch %d: %w", point, epoch, err)
+	}
 	return nil
 }
 
@@ -369,17 +414,12 @@ func (c *Center[S]) CoverageFor(k int64) (merged, expected int) {
 	if !ok {
 		return 0, 0
 	}
-	span := int(last - first + 1)
-	for id, per := range c.uploads {
-		w := c.weightLocked(id)
-		for e := first; e <= last; e++ {
-			if _, ok := per[e]; ok {
-				merged += w
-			}
+	for e := first; e <= last; e++ {
+		if p := c.parts[e]; p != nil {
+			merged += p.merged
 		}
-		expected += w * span
 	}
-	return merged, expected
+	return merged, c.totalWeightLocked() * int(last-first+1)
 }
 
 // HasUpload reports whether the center holds point's measurement for
@@ -393,10 +433,15 @@ func (c *Center[S]) HasUpload(point int, epoch int64) bool {
 	return ok
 }
 
-// trimLocked drops measurements (and, for additive designs, sent pushes)
-// too old to contribute to any future join.
+// trimLocked drops measurements, their partials and, for additive
+// designs, sent pushes too old to contribute to any future join. The
+// walk runs only when the floor rises.
 func (c *Center[S]) trimLocked(latest int64) {
 	floor := latest - int64(c.windowN) - 1
+	if floor <= c.trimFloor {
+		return
+	}
+	c.trimFloor = floor
 	trim := func(maps map[int]map[int64]S) {
 		for _, per := range maps {
 			for e := range per {
@@ -411,53 +456,33 @@ func (c *Center[S]) trimLocked(latest int64) {
 		trim(c.sentAgg)
 		trim(c.sentEnh)
 	}
+	for e := range c.parts {
+		if e < floor {
+			delete(c.parts, e)
+		}
+	}
+	c.win = windowMemo[S]{}
 }
 
-// temporalJoinLocked merges point's measurements over epochs [first,
-// last], or a nil sketch if the range is empty or nothing was uploaded.
-func (c *Center[S]) temporalJoinLocked(point int, first, last int64) (S, error) {
-	var acc S
-	have := false
+// windowLocked joins the live partials of epochs [first, last]. The
+// result is memoized until the next fold, trim, weight change or import,
+// so its sketch is shared: callers only read or compress it.
+func (c *Center[S]) windowLocked(first, last int64) (epochPartial[S], error) {
+	if c.win.p.have && c.win.first == first && c.win.last == last {
+		return c.win.p, nil
+	}
+	parts := make([]epochPartial[S], 0, last-first+1)
 	for e := first; e <= last; e++ {
-		d, ok := c.uploads[point][e]
-		if !ok {
-			continue
-		}
-		if !have {
-			acc = d.Clone()
-			have = true
-			continue
-		}
-		if err := acc.Merge(d); err != nil {
-			return acc, fmt.Errorf("core: temporal join point %d epoch %d: %w", point, e, err)
+		if p := c.parts[e]; p != nil {
+			parts = append(parts, *p)
 		}
 	}
-	return acc, nil
-}
-
-// spatialJoinLocked expands every per-point aggregate to the maximum width
-// and merges them (the uniform join degenerates to a plain merge).
-func (c *Center[S]) spatialJoinLocked(parts map[int]S) (S, error) {
-	var acc S
-	have := false
-	for point, s := range parts {
-		if IsNil(s) {
-			continue
-		}
-		e, err := s.ExpandTo(c.wMax)
-		if err != nil {
-			return acc, fmt.Errorf("core: expand point %d: %w", point, err)
-		}
-		if !have {
-			acc = e
-			have = true
-			continue
-		}
-		if err := acc.Merge(e); err != nil {
-			return acc, fmt.Errorf("core: spatial join point %d: %w", point, err)
-		}
+	p, err := joinWindow(parts, c.wMax)
+	if err != nil {
+		return p, err
 	}
-	return acc, nil
+	c.win = windowMemo[S]{first: first, last: last, p: p}
+	return p, nil
 }
 
 // AggregateFor computes, during epoch k, the networkwide join of epochs
@@ -470,37 +495,9 @@ func (c *Center[S]) spatialJoinLocked(parts map[int]S) (S, error) {
 func (c *Center[S]) AggregateFor(point int, k int64) (S, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var zero S
-	proto, ok := c.protos[point]
-	if !ok {
-		return zero, fmt.Errorf("core: unknown %s point %d", c.design, point)
-	}
-	if c.additive {
-		if sent, ok := c.sentAgg[point][k]; ok {
-			return sent.Clone(), nil
-		}
-	}
-	first, last := k-int64(c.windowN)+2, k-1
-	parts := make(map[int]S, len(c.uploads))
-	for id := range c.uploads {
-		tj, err := c.temporalJoinLocked(id, first, last)
-		if err != nil {
-			return zero, err
-		}
-		parts[id] = tj
-	}
-	joined, err := c.spatialJoinLocked(parts)
-	if err != nil || IsNil(joined) {
-		return zero, err
-	}
-	out, err := joined.CompressTo(proto.Width())
-	if err != nil {
-		return zero, err
-	}
-	if c.additive {
-		c.sentAgg[point][k] = out.Clone()
-	}
-	return out, nil
+	return c.pushLocked(point, k, c.sentAgg, func() (epochPartial[S], error) {
+		return c.windowLocked(k-int64(c.windowN)+2, k-1)
+	})
 }
 
 // EnhancementFor computes, during epoch k, the join over peers (all points
@@ -511,35 +508,43 @@ func (c *Center[S]) AggregateFor(point int, k int64) (S, error) {
 func (c *Center[S]) EnhancementFor(point int, k int64) (S, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.pushLocked(point, k, c.sentEnh, func() (epochPartial[S], error) {
+		var peers epochPartial[S]
+		for id, per := range c.uploads {
+			if d, ok := per[k-1]; ok && id != point {
+				if err := peers.add(d, 0, c.wMax); err != nil {
+					return peers, fmt.Errorf("core: enhancement join point %d: %w", id, err)
+				}
+			}
+		}
+		return peers, nil
+	})
+}
+
+// pushLocked builds the push join computes for point during epoch k,
+// compressed to the point's width. Additive designs record it in sent
+// and answer repeats from there.
+func (c *Center[S]) pushLocked(point int, k int64, sent map[int]map[int64]S, join func() (epochPartial[S], error)) (S, error) {
 	var zero S
 	proto, ok := c.protos[point]
 	if !ok {
 		return zero, fmt.Errorf("core: unknown %s point %d", c.design, point)
 	}
 	if c.additive {
-		if sent, ok := c.sentEnh[point][k]; ok {
-			return sent.Clone(), nil
+		if sk, ok := sent[point][k]; ok {
+			return sk.Clone(), nil
 		}
 	}
-	parts := make(map[int]S, len(c.uploads))
-	for id, per := range c.uploads {
-		if id == point {
-			continue
-		}
-		if d, ok := per[k-1]; ok {
-			parts[id] = d
-		}
-	}
-	joined, err := c.spatialJoinLocked(parts)
-	if err != nil || IsNil(joined) {
+	j, err := join()
+	if err != nil || !j.have {
 		return zero, err
 	}
-	out, err := joined.CompressTo(proto.Width())
+	out, err := j.sk.CompressTo(proto.Width())
 	if err != nil {
 		return zero, err
 	}
 	if c.additive {
-		c.sentEnh[point][k] = out.Clone()
+		sent[point][k] = out.Clone()
 	}
 	return out, nil
 }

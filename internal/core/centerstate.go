@@ -92,6 +92,22 @@ func (c *Center[S]) importSketchMapsLocked(src map[int]map[int64][]byte, label s
 	return out, nil
 }
 
+// installUploadsLocked replaces the measurement store with an imported
+// one and rebuilds the partials from it, replacing nothing on error.
+// Caller holds c.mu.
+func (c *Center[S]) installUploadsLocked(uploads map[int]map[int64]S) error {
+	parts := make(map[int64]*epochPartial[S])
+	for id, per := range uploads {
+		for e, sk := range per {
+			if err := c.foldLocked(parts, id, e, sk); err != nil {
+				return err
+			}
+		}
+	}
+	c.uploads, c.parts, c.win, c.trimFloor = uploads, parts, windowMemo[S]{}, 0
+	return nil
+}
+
 // ExportState snapshots the center's window store, marshaling each retained
 // upload with marshal. The snapshot is taken atomically under the center's
 // lock.
@@ -139,7 +155,9 @@ func (c *SpreadCenter[S]) ImportState(st *SpreadCenterState, unmarshal func([]by
 		}
 		lastEpoch[id] = e
 	}
-	c.uploads = uploads
+	if err := c.installUploadsLocked(uploads); err != nil {
+		return err
+	}
 	c.lastEpoch = lastEpoch
 	return nil
 }
@@ -231,7 +249,9 @@ func (c *SizeCenter) ImportState(st *SizeCenterState) error {
 			chainBroken[id] = true
 		}
 	}
-	c.uploads = deltas
+	if err := c.installUploadsLocked(deltas); err != nil {
+		return err
+	}
 	c.sentAgg = sentAgg
 	c.sentEnh = sentEnh
 	c.lastEpoch = lastEpoch

@@ -11,12 +11,16 @@
 //     sketches C and C' only; the center recovers per-epoch data from the
 //     cumulative uploads by counter-wise subtraction.
 //
-// The measurement center performs the spatial-temporal (ST) join: per-point
-// temporal join over the window's completed epochs (register-wise max for
-// spread, counter-wise addition for size) followed by the spatial join
-// across points. Under device diversity the spatial join is the
-// expand-and-compress nonuniform join of Sections IV-C and V-C, and the
-// aggregate returned to each point is customized to that point's width.
+// The measurement center performs the spatial-temporal (ST) join
+// (register-wise max for spread, counter-wise addition for size) epoch
+// by epoch: each stored measurement is expanded to the maximum width and
+// folded into its epoch's partial once, when it arrives (the spatial
+// join), and an aggregate merges the window's n-2 partials (the temporal
+// join) and compresses the result to the requesting point's width — the
+// expand-and-compress nonuniform join of Sections IV-C and V-C. Merge
+// order never changes a register bit, so this equals the paper's
+// point-major join exactly. Relays and the historical replay fold their
+// cells through the same per-epoch accumulator (join.go).
 //
 // The intended epoch choreography (driven by internal/cluster or by the
 // live transport) is, at the end of epoch k at every point:

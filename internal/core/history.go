@@ -14,14 +14,11 @@ import (
 // by retention, or lost to faults before they ever reached the center)
 // are skipped and reported as reduced Coverage, never an error.
 //
-// The join is assembled epoch-by-epoch rather than point-by-point: each
-// epoch's cells are merged at their native widths, expanded to the
-// maximum width and spatially joined into one per-epoch partial, and the
-// window answer is the merge of its epochs' partials. ExpandTo is
-// positional replication and every backend's Merge is element-wise
-// (register max / integer counter add), so this regrouping is exactly
-// the live answer's register image — and it is what makes the partials
-// cacheable (ReplayCache) and the epochs independently computable
+// The replay folds each epoch's cells into one per-epoch partial at the
+// maximum width and merges the window's partials — the same accumulator
+// and window fold the live center runs (join.go), so the two cannot
+// drift apart. Per-epoch partials are what make the replay cacheable
+// (ReplayCache) and its epochs independently computable
 // (replayWorkers-bounded parallelism for cold windows).
 
 // HistorySource yields stored (point, epoch) measurements for replay.
@@ -73,76 +70,33 @@ func (c *Center[S]) QueryRangeFrom(f uint64, from, to int64, src HistorySource[S
 	return c.queryEpochsFrom(f, from, to, src)
 }
 
-// epochPartial is one epoch's spatial join at the maximum width, plus
-// its coverage share. have is false for an epoch with no retained cells.
-type epochPartial[S Sketch[S]] struct {
-	sk     S
-	have   bool
-	merged int
-}
-
-// computeEpochPartial joins every retained cell of epoch e across ids:
-// cells merge at their native widths first, then each width group
-// expands once to wMax and spatially joins — fewer expansions, same
-// register bits. It prefers the batched EpochSource pass when src
-// implements it.
+// computeEpochPartial joins every retained cell of epoch e across ids
+// through the shared accumulator (epochPartial.add). It prefers the
+// batched EpochSource pass when src implements it.
 func computeEpochPartial[S Sketch[S]](e int64, ids []int, weights map[int]int, wMax int, src HistorySource[S]) (epochPartial[S], error) {
 	var p epochPartial[S]
-	var groups map[int]S
-	var order []int
-	add := func(id int, cell S, owned bool) error {
-		p.merged += weights[id]
-		w := cell.Width()
-		if g, ok := groups[w]; ok {
-			if err := g.Merge(cell); err != nil {
-				return fmt.Errorf("core: history temporal join point %d epoch %d: %w", id, e, err)
-			}
-			return nil
+	add := func(id int, cell S) error {
+		if err := p.add(cell, weights[id], wMax); err != nil {
+			return fmt.Errorf("core: history join point %d epoch %d: %w", id, e, err)
 		}
-		if groups == nil {
-			groups = make(map[int]S, 2)
-		}
-		if owned {
-			groups[w] = cell
-		} else {
-			groups[w] = cell.Clone()
-		}
-		order = append(order, w)
 		return nil
 	}
 	if es, ok := src.(EpochSource[S]); ok {
-		err := es.EpochCells(e, ids, func(id int, cell S) error {
-			return add(id, cell, false)
-		})
-		if err != nil {
+		if err := es.EpochCells(e, ids, add); err != nil {
 			return p, fmt.Errorf("core: history epoch %d: %w", e, err)
 		}
-	} else {
-		for _, id := range ids {
-			cell, ok, err := src.Cell(id, e)
-			if err != nil {
-				return p, fmt.Errorf("core: history cell (%d, %d): %w", id, e, err)
-			}
-			if !ok {
-				continue
-			}
-			if err := add(id, cell, true); err != nil {
-				return p, err
-			}
-		}
+		return p, nil
 	}
-	for _, w := range order {
-		ex, err := groups[w].ExpandTo(wMax)
+	for _, id := range ids {
+		cell, ok, err := src.Cell(id, e)
 		if err != nil {
-			return p, fmt.Errorf("core: history expand epoch %d width %d: %w", e, w, err)
+			return p, fmt.Errorf("core: history cell (%d, %d): %w", id, e, err)
 		}
-		if !p.have {
-			p.sk = ex
-			p.have = true
+		if !ok {
 			continue
 		}
-		if err := p.sk.Merge(ex); err != nil {
-			return p, fmt.Errorf("core: history spatial join epoch %d: %w", e, err)
+		if err := add(id, cell); err != nil {
+			return p, err
 		}
 	}
 	return p, nil
@@ -184,21 +138,17 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 		verSum = cache.versionSum(first, last)
 	}
 
-	type slot struct {
-		p      epochPartial[S]
-		cached bool
-		ver    uint64
-	}
-	slots := make([]slot, span)
+	parts := make([]epochPartial[S], span)
+	vers := make([]uint64, span)
 	var cold []int
-	for i := range slots {
+	for i := range parts {
 		e := first + int64(i)
 		if cache != nil {
-			if sk, merged, have, ok := cache.lookupPartial(e, gen); ok {
-				slots[i] = slot{p: epochPartial[S]{sk: sk, have: have, merged: merged}, cached: true}
+			if p, ok := cache.lookupPartial(e, gen); ok {
+				parts[i] = p
 				continue
 			}
-			slots[i].ver = cache.version(e)
+			vers[i] = cache.version(e)
 		}
 		cold = append(cold, i)
 	}
@@ -210,83 +160,55 @@ func (c *Center[S]) queryEpochsFrom(f uint64, first, last int64, src HistorySour
 	if workers > replayWorkers {
 		workers = replayWorkers
 	}
-	var firstErr error
-	if workers <= 1 {
-		for _, i := range cold {
-			p, err := computeEpochPartial(first+int64(i), ids, weights, wMax, src)
-			if err != nil {
-				return 0, cov, err
+	errs := make([]error, len(cold))
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range work {
+				i := cold[j]
+				parts[i], errs[j] = computeEpochPartial(first+int64(i), ids, weights, wMax, src)
 			}
-			slots[i].p = p
-		}
-	} else {
-		var wg sync.WaitGroup
-		var errMu sync.Mutex
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					p, err := computeEpochPartial(first+int64(i), ids, weights, wMax, src)
-					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						continue
-					}
-					slots[i].p = p
-				}
-			}()
-		}
-		for _, i := range cold {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-		if firstErr != nil {
-			return 0, cov, firstErr
+		}()
+	}
+	for j := range cold {
+		work <- j
+	}
+	close(work)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return 0, cov, err
 		}
 	}
 
 	// Publish cold partials. Once inserted the sketch is shared, so the
-	// final assembly below only reads it (first use clones).
+	// window fold below only reads it. Every partial has the wMax shape
+	// and the fixed encoding's length depends only on the shape, so one
+	// encode prices them all.
 	if cache != nil {
+		size := int64(-1)
 		for _, i := range cold {
-			p := slots[i].p
 			cost := int64(64)
-			if p.have {
-				if b, err := p.sk.MarshalBinary(); err == nil {
-					cost += int64(len(b))
+			if p := parts[i]; p.have {
+				if size < 0 {
+					b, _ := p.sk.MarshalBinary() // the fixed encoding cannot fail
+					size = int64(len(b))
 				}
+				cost += size
 			}
-			cache.insertPartial(first+int64(i), gen, slots[i].ver, p.sk, p.have, p.merged, cost)
+			cache.insertPartial(first+int64(i), gen, vers[i], parts[i], cost)
 		}
 	}
 
-	var acc S
-	haveAcc := false
-	for i := range slots {
-		p := slots[i].p
-		cov.EpochsMerged += p.merged
-		if !p.have {
-			continue
-		}
-		if !haveAcc {
-			acc = p.sk.Clone()
-			haveAcc = true
-			continue
-		}
-		if err := acc.Merge(p.sk); err != nil {
-			return 0, cov, fmt.Errorf("core: history window join epoch %d: %w", first+int64(i), err)
-		}
+	win, err := joinWindow(parts, wMax)
+	cov.EpochsMerged = win.merged
+	if err != nil || !win.have {
+		return 0, cov, err
 	}
-	if !haveAcc {
-		return 0, cov, nil
-	}
-	est := acc.EstimateUnion(f, nil)
+	est := win.sk.EstimateUnion(f, nil)
 	if cache != nil {
 		cache.insertWindow(windowKey{f, first, last, gen}, windowAnswer{est, cov}, verSum)
 	}
@@ -305,31 +227,12 @@ func (c *Center[S]) QueryWindowLive(f uint64, k int64) (float64, Coverage, error
 	if !ok {
 		return 0, Coverage{}, fmt.Errorf("core: epoch %d has no completed window", k)
 	}
-	var cov Coverage
-	span := int(last - first + 1)
-	parts := make(map[int]S, len(c.uploads))
-	for id, per := range c.uploads {
-		w := c.weightLocked(id)
-		cov.EpochsExpected += w * span
-		for e := first; e <= last; e++ {
-			if _, ok := per[e]; ok {
-				cov.EpochsMerged += w
-			}
-		}
-		tj, err := c.temporalJoinLocked(id, first, last)
-		if err != nil {
-			return 0, cov, err
-		}
-		parts[id] = tj
-	}
-	joined, err := c.spatialJoinLocked(parts)
-	if err != nil {
+	win, err := c.windowLocked(first, last)
+	cov := Coverage{EpochsMerged: win.merged, EpochsExpected: c.totalWeightLocked() * int(last-first+1)}
+	if err != nil || !win.have {
 		return 0, cov, err
 	}
-	if IsNil(joined) {
-		return 0, cov, nil
-	}
-	return joined.EstimateUnion(f, nil), cov, nil
+	return win.sk.EstimateUnion(f, nil), cov, nil
 }
 
 // MarshalUpload encodes the stored single-epoch measurement for (point,

@@ -66,7 +66,7 @@ type Relay[S Sketch[S]] struct {
 
 // relayRound is one epoch's partially merged upload.
 type relayRound[S Sketch[S]] struct {
-	merged   S // at the relay's width
+	acc      epochPartial[S] // at the relay's width; coverage is unused
 	reported map[int]bool
 }
 
@@ -198,15 +198,9 @@ func (r *Relay[S]) Receive(child int, epoch int64, up S) error {
 	if rr.reported[child] {
 		return ErrDuplicateUpload
 	}
-	// ExpandTo always returns a fresh sketch (even at equal widths), so the
-	// round never aliases the caller's upload.
-	e, err := up.ExpandTo(r.width)
-	if err != nil {
-		return fmt.Errorf("core: expand child %d epoch %d: %w", child, epoch, err)
-	}
-	if IsNil(rr.merged) {
-		rr.merged = e
-	} else if err := rr.merged.Merge(e); err != nil {
+	// The accumulator clones or expands the first upload, so the round
+	// never aliases the caller's sketch.
+	if err := rr.acc.add(up, 0, r.width); err != nil {
 		return fmt.Errorf("core: relay merge child %d epoch %d: %w", child, epoch, err)
 	}
 	rr.reported[child] = true
@@ -229,7 +223,7 @@ func (r *Relay[S]) Next() (epoch int64, combined S, ok bool) {
 	}
 	delete(r.pending, e)
 	r.forwarded = e
-	return e, rr.merged, true
+	return e, rr.acc.sk, true
 }
 
 // LastEpoch returns the most recent epoch the child has uploaded (0 if
@@ -362,8 +356,8 @@ func (r *Relay[S]) ExportState(marshal func(S) ([]byte, error)) (*RelayState, er
 	}
 	for e, rr := range r.pending {
 		var rs RelayRoundState
-		if !IsNil(rr.merged) {
-			data, err := marshal(rr.merged)
+		if rr.acc.have {
+			data, err := marshal(rr.acc.sk)
 			if err != nil {
 				return nil, fmt.Errorf("core: export relay round %d: %w", e, err)
 			}
@@ -417,7 +411,7 @@ func (r *Relay[S]) ImportState(st *RelayState, unmarshal func([]byte) (S, error)
 			if IsNil(sk) || !ref.Compatible(sk) || sk.Width() != r.width {
 				return fmt.Errorf("core: import relay round %d: sketch does not match the relay shape", e)
 			}
-			rr.merged = sk
+			rr.acc.sk, rr.acc.have = sk, true
 		}
 		pending[e] = rr
 	}

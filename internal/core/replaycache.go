@@ -58,13 +58,12 @@ type partialKey struct {
 
 type partialEntry[S Sketch[S]] struct {
 	key partialKey
-	// sk is the epoch's spatial join at wMax; have is false for a
-	// negative entry (epoch retained no cells when computed).
-	sk     S
-	have   bool
-	merged int // Σ point weights present in the epoch (coverage share)
-	bytes  int64
-	elem   *list.Element
+	// p is the epoch's spatial join at wMax with its coverage share;
+	// p.have is false for a negative entry (epoch retained no cells when
+	// computed).
+	p     epochPartial[S]
+	bytes int64
+	elem  *list.Element
 }
 
 type windowKey struct {
@@ -137,38 +136,38 @@ func (rc *ReplayCache[S]) versionSum(first, last int64) uint64 {
 }
 
 // lookupPartial returns the cached partial for (epoch, gen). ok reports
-// a cache hit; have distinguishes a real partial from a cached
-// "epoch holds no cells". The returned sketch is shared — read-only.
-func (rc *ReplayCache[S]) lookupPartial(epoch int64, gen uint64) (sk S, merged int, have, ok bool) {
+// a cache hit; the partial's have distinguishes a real partial from a
+// cached "epoch holds no cells". The returned sketch is shared —
+// read-only.
+func (rc *ReplayCache[S]) lookupPartial(epoch int64, gen uint64) (epochPartial[S], bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	ent, found := rc.entries[partialKey{epoch, gen}]
 	if !found {
 		rc.misses++
-		return sk, 0, false, false
+		return epochPartial[S]{}, false
 	}
 	rc.hits++
 	rc.lru.MoveToFront(ent.elem)
-	return ent.sk, ent.merged, ent.have, true
+	return ent.p, true
 }
 
 // insertPartial publishes a freshly computed partial, unless epoch's
 // version moved past ver since the caller snapshotted it (a concurrent
 // append or eviction made the computation stale). Once inserted the
 // sketch is shared and must no longer be written by the caller.
-func (rc *ReplayCache[S]) insertPartial(epoch int64, gen, ver uint64, sk S, have bool, merged int, bytes int64) {
+func (rc *ReplayCache[S]) insertPartial(epoch int64, gen, ver uint64, p epochPartial[S], bytes int64) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.verLocked(epoch) != ver {
 		return
 	}
 	key := partialKey{epoch, gen}
-	if old, ok := rc.entries[key]; ok {
+	if _, ok := rc.entries[key]; ok {
 		// Another query raced us here; keep theirs.
-		_ = old
 		return
 	}
-	ent := &partialEntry[S]{key: key, sk: sk, have: have, merged: merged, bytes: bytes}
+	ent := &partialEntry[S]{key: key, p: p, bytes: bytes}
 	ent.elem = rc.lru.PushFront(ent)
 	rc.entries[key] = ent
 	rc.bytes += bytes
